@@ -1,7 +1,8 @@
-"""Composite Gauss-Legendre quadrature helpers.
+"""Gauss-Legendre quadrature on single cells.
 
-Default resolution (8 nodes per cell, 64 cells) is shared by the steering,
-certification and recovery code paths.
+Default resolution (8 nodes per cell) is shared by the source
+convolutions of ``simulate.simulate_exact`` and by
+``synthesis.recover_v``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_NODES = 8
-DEFAULT_CELLS = 64
 
 
 @lru_cache(maxsize=32)
@@ -19,37 +19,6 @@ def gauss_legendre(n: int = DEFAULT_NODES):
     """Nodes and weights of the n-point rule on [-1, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return nodes, weights
-
-
-def composite_nodes(a: float, b: float, cells: int = DEFAULT_CELLS,
-                    nodes: int = DEFAULT_NODES):
-    """Quadrature points and weights for equal cells covering [a, b].
-
-    Returns flat arrays of length ``cells * nodes``.
-    """
-    if b < a:
-        raise ValueError("interval is reversed")
-    base, wts = gauss_legendre(nodes)
-    edges = np.linspace(a, b, cells + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * base[None, :]).ravel()
-    w = (half[:, None] * wts[None, :]).ravel()
-    return pts, w
-
-
-def integrate(f, a: float, b: float, cells: int = DEFAULT_CELLS,
-              nodes: int = DEFAULT_NODES):
-    """Integrate a vectorized callable over [a, b].
-
-    ``f`` must accept an array of points and return values whose *last*
-    axis matches the points.
-    """
-    if b == a:
-        return 0.0
-    pts, w = composite_nodes(a, b, cells, nodes)
-    vals = np.asarray(f(pts))
-    return np.tensordot(vals, w, axes=([-1], [0]))
 
 
 def cell_nodes(t0: float, t1: float, nodes: int = DEFAULT_NODES):

@@ -31,7 +31,7 @@ from .exceptions import (
 )
 from .spectral import MemoryKernel, Spectrum, partition_spectrum
 from .simulate import Trajectory, fit_decay_rate, simulate_ode
-from .synthesis import ActuatorSet
+from .synthesis import ActuatorSet, pbh_rank_loss
 
 ALPHA_MAX = 0.75
 RESIDUAL_TOL = 1e-8
@@ -157,16 +157,12 @@ def _are_residual(p, q, w, r) -> float:
 
 
 def _stabilizability_check(p, q):
-    dim = p.shape[0]
     eigs = np.linalg.eigvals(p)
-    for ev in eigs:
-        if ev.real >= -1e-12:
-            pencil = np.hstack([p - ev * np.eye(dim), q]).astype(complex)
-            s = np.linalg.svd(pencil, compute_uv=False)
-            if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
-                raise NotStabilizableError(
-                    f"mode at eigenvalue {ev:.6g} cannot be moved by the "
-                    "actuators; the shifted system is not stabilizable")
+    ev = pbh_rank_loss(p, q, eigs[eigs.real >= -1e-12])
+    if ev is not None:
+        raise NotStabilizableError(
+            f"mode at eigenvalue {ev:.6g} cannot be moved by the "
+            "actuators; the shifted system is not stabilizable")
 
 
 def solve_are(shifted: ShiftedSystem) -> RiccatiSolution:

@@ -7,7 +7,10 @@ the solution; the remaining modes already decay faster than the target
 rate.  Two independent certificates are computed for steerability — the
 group-slice rank conditions in transformed coordinates, and a Gramian
 eigenvalue test — and the steering control itself is the classical
-minimum-energy formula.
+minimum-energy formula.  Gramians are exact (one Lyapunov solve and one
+matrix exponential each), and the steering control and the physical
+actuator amplitudes come from one backward recursion of an augmented
+linear system, so no quadrature enters the steering.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .spectral import (
 
 RANK_RTOL = 1e-10
 COND_LIMIT = 1e12
+CONTROL_SAMPLES = 1025  # output samples of a steering control
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,45 +425,39 @@ def rank_conditions(transformed: TransformedSystem,
 
 def kalman_observability_check(transformed: TransformedSystem,
                                horizon: float = 1.0, *,
-                               rel_tol: float = 1e-12,
-                               cells: int = 16, nodes: int = 8) -> bool:
+                               rel_tol: float = 1e-12) -> bool:
     """Gramian route to the same steerability question.
 
-    Integrates ``e^{Ds} Q Q* e^{D*s}`` over [0, horizon] (closed form
-    when the block is diagonal, quadrature on matrix exponentials
-    otherwise) and demands the smallest eigenvalue clear ``rel_tol``
-    times the largest.  Independent of the rank computation and expected
-    to agree with it.
+    Forms the Gramian of the block and the transformed input over
+    [0, horizon] with :func:`controllability_gramian`, for diagonal and
+    chain blocks alike, and demands the smallest eigenvalue clear
+    ``rel_tol`` times the largest.  Independent of the rank computation
+    and expected to agree with it.  The block must meet the precondition
+    of :func:`controllability_gramian`, as every transformed companion
+    block does.
     """
-    dim = transformed.block.shape[0]
-    if dim == 0:
+    if transformed.block.shape[0] == 0:
         return True
-    q = transformed.q_bar
-    if transformed.semisimple:
-        d = np.diag(transformed.block)
-        z = d[:, None] + d[None, :].conj()
-        zt = z * horizon
-        small = np.abs(zt) < 1e-8
-        factor = np.where(
-            small,
-            horizon * (1.0 + 0.5 * zt + zt * zt / 6.0),
-            np.divide(np.exp(zt) - 1.0, z, out=np.full_like(zt, horizon),
-                      where=~small),
-        )
-        gram = (q @ q.conj().T) * factor
-    else:
-        pts, wts = quadrature.composite_nodes(0.0, horizon, cells, nodes)
-        gram = np.zeros((dim, dim), dtype=complex)
-        for s, w in zip(pts, wts):
-            e = scipy.linalg.expm(transformed.block * s)
-            eq = e @ q
-            gram += w * (eq @ eq.conj().T)
-    gram = 0.5 * (gram + gram.conj().T)
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = np.linalg.eigvalsh(controllability_gramian(
+        transformed.block, transformed.q_bar, horizon))
     top = eigs[-1]
     if top <= 0.0:
         return False
     return bool(eigs[0] > rel_tol * top)
+
+
+def pbh_rank_loss(p: np.ndarray, q: np.ndarray, eigenvalues):
+    """First of ``eigenvalues`` at which ``[p - ev I, q]`` loses rank.
+
+    Popov-Belevitch-Hautus test at relative tolerance ``RANK_RTOL``.
+    Returns ``None`` when the input reaches every listed eigenvalue.
+    """
+    eye = np.eye(p.shape[0])
+    for ev in eigenvalues:
+        s = np.linalg.svd(np.hstack([p - ev * eye, q]), compute_uv=False)
+        if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
+            return ev
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,17 +479,21 @@ class NullControl:
     gramian_condition: float
 
 
-def controllability_gramian(a: np.ndarray, b: np.ndarray, horizon: float, *,
-                            cells: int = quadrature.DEFAULT_CELLS,
-                            nodes: int = quadrature.DEFAULT_NODES) -> np.ndarray:
-    """Finite-horizon Gramian of (a, b) by composite quadrature."""
-    dim = a.shape[0]
-    pts, wts = quadrature.composite_nodes(0.0, horizon, cells, nodes)
-    gram = np.zeros((dim, dim))
-    for s, w in zip(pts, wts):
-        eb = scipy.linalg.expm(a * s) @ b
-        gram += w * (eb @ eb.T)
-    return 0.5 * (gram + gram.T)
+def controllability_gramian(a: np.ndarray, b: np.ndarray,
+                            horizon: float) -> np.ndarray:
+    """Finite-horizon Gramian ``int_0^T e^{as} b b* e^{a*s} ds`` of (a, b).
+
+    Exact form ``X - e^{aT} X e^{a*T}`` with ``a X + X a* + b b* = 0``:
+    one Lyapunov solve and one matrix exponential.  The Lyapunov
+    equation needs ``lam + conj(mu) != 0`` for all eigenvalues ``lam``,
+    ``mu`` of ``a`` (no eigenvalue on the imaginary axis, no pair
+    mirrored across it); every companion and transformed block is
+    Hurwitz and meets it.  Complex input gives a Hermitian result.
+    """
+    x = scipy.linalg.solve_continuous_lyapunov(a, -b @ b.conj().T)
+    e = scipy.linalg.expm(a * horizon)
+    gram = x - e @ x @ e.conj().T
+    return 0.5 * (gram + gram.conj().T)
 
 
 def _rk4_forced(a: np.ndarray, forcing_samples: np.ndarray, x0: np.ndarray,
@@ -515,25 +517,31 @@ def _rk4_forced(a: np.ndarray, forcing_samples: np.ndarray, x0: np.ndarray,
     return x
 
 
-def min_energy_control(companion: CompanionSystem, x0, horizon: float, *,
-                       samples: int = 1025,
-                       singular_rtol: float = 1e-12,
-                       cond_limit: float = 1e14) -> NullControl:
+def min_energy_control(companion: CompanionSystem, x0,
+                       horizon: float) -> NullControl:
     """Minimum-energy control steering the companion state to zero.
 
-    Implements ``w(t) = -Q^T e^{P^T (T-t)} G_T^{-1} e^{P T} x0`` with the
-    finite-horizon Gramian ``G_T``, and recovers the physical amplitudes
-    ``v``.  A forward integration of the controlled system verifies the
-    terminal state; its relative size is reported on the result.
+    Implements ``w(t) = -Q^T e^{P^T (T-t)} g`` with
+    ``g = G_T^{-1} e^{P T} x0`` and the finite-horizon Gramian ``G_T``;
+    the energy is ``g^T G_T g``.  One backward recursion of
+    ``psi' = -P^T psi``, ``v' = -delta v - Q^T psi`` from
+    ``psi(T) = g``, ``v(T) = 0`` gives ``w = -Q^T psi`` and the physical
+    amplitudes ``v`` (``v' + delta v = w``) exactly on the half steps of
+    the verification grid, with one step exponential.  The
+    ``CONTROL_SAMPLES`` output samples are a subsample of those half
+    steps.  A forward RK4 integration of the controlled system on the
+    same half steps verifies the terminal state; its relative size is
+    reported on the result.
 
     Raises
     ------
     GramianSingularError
-        The Gramian has (numerically) deficient rank — the same
-        situation the rank conditions flag.
+        An eigenvalue of P fails the PBH test: the block is not
+        steerable through these actuators, the situation the rank
+        conditions flag.
     HorizonTooSmallError
-        Invertible but so ill-conditioned that steering amplitudes
-        cannot be trusted.
+        The Gramian condition number reaches ``COND_LIMIT``, so the
+        steering amplitudes cannot be trusted on this horizon.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -545,119 +553,81 @@ def min_energy_control(companion: CompanionSystem, x0, horizon: float, *,
     if x0.size != dim:
         raise DimensionMismatchError(
             f"initial state has size {x0.size}, companion needs {dim}")
-    grid = np.linspace(0.0, horizon, samples)
-    if dim == 0:
-        zero = np.zeros((m, samples))
-        return NullControl(horizon=horizon, grid=grid, w=zero, v=zero.copy(),
-                           energy=0.0, energy_ratio=0.0, terminal_error=0.0,
-                           gramian_condition=1.0)
-
+    grid = np.linspace(0.0, horizon, CONTROL_SAMPLES)
     x0_norm = float(np.linalg.norm(x0))
     if x0_norm == 0.0:
-        zero = np.zeros((m, samples))
+        zero = np.zeros((m, CONTROL_SAMPLES))
         return NullControl(horizon=horizon, grid=grid, w=zero, v=zero.copy(),
                            energy=0.0, energy_ratio=0.0, terminal_error=0.0,
                            gramian_condition=1.0)
 
-    # structural steerability is horizon-free; judge it on the Kalman
-    # block so that a squeezed horizon cannot masquerade as rank loss
-    blocks = [q]
-    for _ in range(dim - 1):
-        blocks.append(p @ blocks[-1])
-    sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    if sv.size == 0 or (sv > RANK_RTOL * sv[0]).sum() < dim:
+    # structural steerability is horizon-free; judge it by the PBH test
+    # so that a squeezed horizon cannot masquerade as rank loss
+    p_eigs = np.linalg.eigvals(p)
+    lost = pbh_rank_loss(p, q, p_eigs)
+    if lost is not None:
         raise GramianSingularError(
-            "steering Gramian is singular: the companion block is not "
-            "steerable through these actuators")
+            f"steering Gramian is singular: the mode at eigenvalue "
+            f"{lost:.6g} is not steerable through these actuators")
 
     gram = controllability_gramian(p, q, horizon)
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[-1] <= 0.0 or eigs[0] <= singular_rtol * eigs[-1]:
+    cond = float(eigs[-1] / eigs[0]) if eigs[0] > 0.0 else math.inf
+    if not cond < COND_LIMIT:
         raise HorizonTooSmallError(
-            "steering Gramian lost all precision on this horizon; "
-            "increase the horizon")
-    cond = float(eigs[-1] / eigs[0])
-    if cond > cond_limit:
-        raise HorizonTooSmallError(
-            f"Gramian condition number {cond:.3e} exceeds {cond_limit:.1e}; "
+            f"Gramian condition number {cond:.3e} reaches {COND_LIMIT:.1e}; "
             "increase the horizon")
 
     g_vec = np.linalg.solve(gram, scipy.linalg.expm(p * horizon) @ x0)
+    energy = float(g_vec @ gram @ g_vec)
 
-    def w_fun(t):
-        t = np.asarray(t, dtype=float)
-        single = t.ndim == 0
-        tt = np.atleast_1d(t)
-        out = np.empty((m, tt.size))
-        for i, ti in enumerate(tt):
-            e = scipy.linalg.expm(p.T * (horizon - ti))
-            out[:, i] = -q.T @ (e @ g_vec)
-        return out[:, 0] if single else out
-
-    # control on the output grid (and half steps for the verification run)
+    # verification steps: the output step, refined until h * rho <= 0.05
     h = grid[1] - grid[0]
-    e_half = scipy.linalg.expm(p.T * 0.5 * h)
-    n_half = 2 * (samples - 1) + 1
-    w_half = np.empty((m, n_half))
-    mat = np.eye(dim)
-    for j in range(n_half - 1, -1, -1):
-        w_half[:, j] = -q.T @ (mat @ g_vec)
-        if j:
-            mat = mat @ e_half
-    w_grid = w_half[:, ::2]
-
-    energy = float(quadrature.integrate(
-        lambda ts: np.sum(np.asarray(w_fun(ts)) ** 2, axis=0),
-        0.0, horizon))
-
-    rho = float(max(np.abs(np.linalg.eigvals(p)))) if dim else 1.0
-    refine = max(1, math.ceil(h * rho / 0.05))
-    if refine == 1:
-        forcing = q @ w_half
-        terminal = _rk4_forced(p, forcing, x0, h)
-    else:
-        fine_h = h / refine
-        e_fine = scipy.linalg.expm(p.T * 0.5 * fine_h)
-        n_fine = 2 * (samples - 1) * refine + 1
-        w_fine = np.empty((m, n_fine))
-        mat = np.eye(dim)
-        for j in range(n_fine - 1, -1, -1):
-            w_fine[:, j] = -q.T @ (mat @ g_vec)
-            if j:
-                mat = mat @ e_fine
-        terminal = _rk4_forced(p, q @ w_fine, x0, fine_h)
+    refine = max(1, math.ceil(h * float(np.abs(p_eigs).max()) / 0.05))
+    fine_h = h / refine
+    n_half = 2 * (CONTROL_SAMPLES - 1) * refine + 1
+    # one backward half step of (psi, v)
+    aug = np.zeros((dim + m, dim + m))
+    aug[:dim, :dim] = p.T
+    aug[dim:, :dim] = q.T
+    aug[dim:, dim:] = companion.kernel.delta * np.eye(m)
+    step = scipy.linalg.expm(aug * 0.5 * fine_h)
+    states = np.zeros((n_half, dim + m))
+    states[-1, :dim] = g_vec
+    for j in range(n_half - 1, 0, -1):
+        states[j - 1] = step @ states[j]
+    w_half = -(states[:, :dim] @ q).T
+    terminal = _rk4_forced(p, q @ w_half, x0, fine_h)
     terminal_error = float(np.linalg.norm(terminal) / x0_norm)
 
-    v_grid = recover_v(grid, w_grid, companion.kernel.delta, w_fun=w_fun)
-    return NullControl(horizon=horizon, grid=grid, w=w_grid, v=v_grid,
+    out = slice(None, None, 2 * refine)
+    return NullControl(horizon=horizon, grid=grid, w=w_half[:, out],
+                       v=states[out, dim:].T,
                        energy=energy, energy_ratio=energy / x0_norm ** 2,
                        terminal_error=terminal_error,
                        gramian_condition=cond)
 
 
-def recover_v(grid, w, delta: float, *, w_fun=None,
-              nodes: int = quadrature.DEFAULT_NODES) -> np.ndarray:
-    """Physical actuator amplitudes from the companion-level control.
+def recover_v(grid, w, delta: float) -> np.ndarray:
+    """Physical actuator amplitudes from a sampled companion-level control.
 
     Computes ``v(t) = -int_t^T e^{-delta (t-s)} w(s) ds`` cellwise from
-    the right, so ``v`` vanishes at the horizon and solves
-    ``v' + delta v = w``.  When ``w_fun`` is omitted the sampled control
-    is interpolated linearly between grid points.
+    the right, with ``w`` interpolated linearly between grid points, so
+    ``v`` vanishes at the horizon and solves ``v' + delta v = w``.
+    :func:`min_energy_control` obtains ``v`` exactly instead; this is
+    the route for a control known only by its samples.
     """
     grid = np.asarray(grid, dtype=float)
     w = np.atleast_2d(np.asarray(w, dtype=float))
     m, samples = w.shape
     if grid.size != samples:
         raise DimensionMismatchError("grid and control sample counts differ")
-    if w_fun is None:
-        def w_fun(ts):
-            ts = np.atleast_1d(ts)
-            return np.vstack([np.interp(ts, grid, w[i]) for i in range(m)])
     v = np.zeros((m, samples))
     for k in range(samples - 2, -1, -1):
         t0, t1 = grid[k], grid[k + 1]
-        pts, wts = quadrature.cell_nodes(t0, t1, nodes)
-        vals = np.asarray(w_fun(pts)).reshape(m, -1)
+        pts, wts = quadrature.cell_nodes(t0, t1)
+        frac = (pts - t0) / (t1 - t0)
+        vals = w[:, k, None] + (w[:, k + 1] - w[:, k])[:, None] * frac
         local = (vals * np.exp(delta * (pts - t0))[None, :]) @ wts
         v[:, k] = math.exp(delta * (t1 - t0)) * v[:, k + 1] - local
     return v

@@ -27,6 +27,7 @@ from pidestab import (
     kalman_observability_check,
     min_energy_control,
     modal_roots,
+    model_spectrum,
     partition_spectrum,
     rank_conditions,
     recover_v,
@@ -338,16 +339,20 @@ def test_gramian_matches_quadrature_on_random_matrix():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 2))
-    g = controllability_gramian(a, b, 0.8)
-    ts = np.linspace(0.0, 0.8, 4001)
-    acc = np.zeros((3, 3))
-    for t in ts:
-        e = scipy.linalg.expm(a * t) @ b
-        acc += e @ e.T
-    acc *= (ts[1] - ts[0])
-    acc -= 0.5 * (ts[1] - ts[0]) * (b @ b.T + (scipy.linalg.expm(a * 0.8) @ b)
-                                    @ (scipy.linalg.expm(a * 0.8) @ b).T)
-    np.testing.assert_allclose(g, acc, rtol=1e-6, atol=1e-10)
+    # complex chain block, the input of the Jordan branch of the Kalman check
+    jordan = (-0.7 + 1.3j) * np.eye(3) + np.eye(3, k=1)
+    b_jordan = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    for a, b in ((a, b), (jordan, b_jordan)):
+        g = controllability_gramian(a, b, 0.8)
+        ts = np.linspace(0.0, 0.8, 4001)
+        acc = np.zeros((3, 3), dtype=a.dtype)
+        for t in ts:
+            e = scipy.linalg.expm(a * t) @ b
+            acc += e @ e.conj().T
+        acc *= (ts[1] - ts[0])
+        end = scipy.linalg.expm(a * 0.8) @ b
+        acc -= 0.5 * (ts[1] - ts[0]) * (b @ b.conj().T + end @ end.conj().T)
+        np.testing.assert_allclose(g, acc, rtol=1e-6, atol=1e-10)
 
 
 def test_min_energy_scalar_oracle():
@@ -398,6 +403,34 @@ def test_min_energy_horizon_guard():
     with pytest.raises(HorizonTooSmallError):
         min_energy_control(comp, np.ones(6), 0.5)
     nc = min_energy_control(comp, np.ones(6), 8.0)
+    assert nc.terminal_error <= 1e-6
+
+
+def _dirichlet_block(scale, gamma):
+    """Default-actuated block of dirichlet_1d, 64 modes, b=1, delta=4."""
+    spectrum = model_spectrum("dirichlet_1d", scale / math.pi ** 2, 64)
+    k = MemoryKernel(b=1.0, delta=4.0)
+    part = partition_spectrum(spectrum, k, gamma)
+    comp = build_companion(part, k, default_actuators(part), spectrum)
+    y0 = np.ones(part.n_total)
+    return comp, np.concatenate([y0, -part.lambdas * y0])
+
+
+def test_min_energy_steerable_six_mode_block_is_horizon_limited():
+    """Six slow modes that pass the PBH test are steerable; short horizons
+    fail on Gramian conditioning, not as a structural rank loss."""
+    comp, x0 = _dirichlet_block(0.07, 3.5)
+    assert comp.n_modes == 6
+    for horizon in (1.0, 2.0, 4.0):
+        with pytest.raises(HorizonTooSmallError):
+            min_energy_control(comp, x0, horizon)
+
+
+def test_min_energy_four_mode_block_on_long_horizon():
+    comp, x0 = _dirichlet_block(0.1, 3.0)
+    assert comp.n_modes == 4
+    nc = min_energy_control(comp, x0, 8.0)
+    assert nc.gramian_condition == pytest.approx(7.1e11, rel=0.01)
     assert nc.terminal_error <= 1e-6
 
 

@@ -89,8 +89,8 @@ class SolverFailureError(PidestabError):
 
 
 class StepInstabilityError(PidestabError):
-    """The requested integration step exceeds the explicit stability
-    bound even after the automatic halving budget."""
+    """A simulated trajectory diverges: its state norm left the bound
+    1e6 (1 + |y0|) at an output sample."""
 
 
 class ForcingRangeError(PidestabError):

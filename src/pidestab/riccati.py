@@ -263,55 +263,49 @@ def feedback_gain_to_control(solution: RiccatiSolution, state,
 
 
 class ShiftedStateFeedback:
-    """Dynamic realization of the gain in original variables.
+    """Linear realization of the gain in original variables.
 
     The design returns w~ = -K xi in shifted coordinates; undoing the
     exponential rescaling leaves a time-invariant law on the original
     state: w = -K (alpha, alpha' + gamma alpha), fed through the
-    actuator dynamics v' = w - delta v, u = C v.  Exposes the interface
-    the RK4 integrator expects from dynamic controllers, so the closed
-    loop can be simulated and certified without leaving the original
-    frame (actuator spillover onto the simulated tail modes included).
+    actuator dynamics v' = w - delta v, u = C v.  On the simulated state
+    x = (alpha, z, v) both are linear, u = U x (``input_matrix``) and
+    v' = V x (``aux_matrix``), which is the form ``simulate_ode``
+    propagates exactly, so the closed loop can be simulated and
+    certified without leaving the original frame (actuator spillover
+    onto the simulated tail modes included).
     """
 
     def __init__(self, solution: RiccatiSolution, actuators: ActuatorSet,
                  kernel: MemoryKernel, n_modes_sim: int):
-        self.gain = solution.gain
-        self.gamma = solution.gamma
-        self.k_design = solution.truncation_k
-        if n_modes_sim < self.k_design:
+        k = solution.truncation_k
+        n = n_modes_sim
+        if n < k:
             raise DimensionMismatchError(
-                f"simulation carries {n_modes_sim} modes, the design "
-                f"needs {self.k_design}")
-        self.c_rows = actuators.rows(n_modes_sim)
-        self.kernel = kernel
-        self.m = actuators.count
-        self.aux0 = np.zeros(self.m)
-        sys = solution.system
-        self.lambdas_design = sys.lambdas
-
-    def _w(self, alpha, z, v):
-        k = self.k_design
-        lam = self.lambdas_design
-        b, delta = self.kernel.b, self.kernel.delta
-        u_design = self.c_rows[:k] @ v
-        a = alpha[:k]
-        a_dot = -lam * a - b * lam * z[:k] + u_design
-        xi = np.concatenate([a, a_dot + self.gamma * a])
-        return -(self.gain @ xi)
-
-    def modal_input(self, t, alpha, z, aux):
-        return self.c_rows @ aux
-
-    def aux_derivative(self, t, alpha, z, aux):
-        w = self._w(alpha, z, aux)
-        return w - self.kernel.delta * aux
+                f"simulation carries {n} modes, the design needs {k}")
+        m = actuators.count
+        c_rows = actuators.rows(n)
+        lam = solution.system.lambdas
+        dim = 2 * n + m
+        # xi = (alpha, alpha' + gamma alpha) on the design modes, with
+        # alpha' = -lam alpha - b lam z + C v read off the modal equation
+        xi_map = np.zeros((2 * k, dim))
+        xi_map[:k, :k] = np.eye(k)
+        xi_map[k:, :k] = np.diag(solution.gamma - lam)
+        xi_map[k:, n:n + k] = -kernel.b * np.diag(lam)
+        xi_map[k:, 2 * n:] = c_rows[:k]
+        self.input_matrix = np.zeros((n, dim))
+        self.input_matrix[:, 2 * n:] = c_rows
+        self.aux_matrix = -(solution.gain @ xi_map)
+        self.aux_matrix[:, 2 * n:] -= kernel.delta * np.eye(m)
+        self.aux0 = np.zeros(m)
 
 
 def make_closed_loop(solution: RiccatiSolution, actuators: ActuatorSet,
                      kernel: MemoryKernel,
                      n_modes_sim: int | None = None) -> ShiftedStateFeedback:
-    """Feedback controller ready for the RK4 integrator."""
+    """Linear feedback controller on ``n_modes_sim`` simulated modes
+    (default: the design modes), ready for ``simulate_ode``."""
     k = solution.truncation_k if n_modes_sim is None else int(n_modes_sim)
     return ShiftedStateFeedback(solution, actuators, kernel, k)
 
@@ -322,8 +316,9 @@ class ClosedLoopRun:
 
     States are sampled columns of the autonomous system
     (xi, v~, z~)' = A (xi, v~, z~); mapping back multiplies by
-    e^{-gamma t}.  Serves as the second, integrator-free route to the
-    closed loop.
+    e^{-gamma t}.  Serves as the second route to the closed loop,
+    independent of ``simulate_ode``: it works in the shifted companion
+    frame on the design modes alone.
     """
 
     grid: np.ndarray
@@ -467,8 +462,8 @@ def certify_decay(solution: RiccatiSolution, spectrum: Spectrum,
                   samples: int | None = None) -> DecayCertificate:
     """Run the closed loop from y0 and certify the decay rate.
 
-    The loop is integrated in original variables through the RK4 route
-    (dynamic feedback riding along), the rate of |A^{alpha-1/2} y| is
+    The loop is propagated in original variables by ``simulate_ode``
+    (the actuator states riding along), the rate of |A^{alpha-1/2} y| is
     fitted on the second half of [0, t_max] and must reach 0.98 gamma,
     and the weighted integral of e^{2 gamma t}|A^alpha y|^2 is reported
     against the quadratic form of R and its Rayleigh bound.  A failed

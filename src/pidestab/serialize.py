@@ -68,20 +68,17 @@ def json_load(path):
         return json.load(fh)
 
 
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    s = format_float(v)
-    return s.strip('"')
+def write_csv(path, header, table) -> None:
+    """Header line, then one line per row of a 2-D float table.
 
-
-def write_csv(path, header, rows) -> None:
+    Each row is formatted by one ``%`` operation with 17 significant
+    digits per cell; non-finite cells read ``nan``, ``inf``, ``-inf``.
+    """
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row.tolist()) for row in table)
 
 
 def trajectory_csv(path, traj) -> None:
@@ -90,28 +87,20 @@ def trajectory_csv(path, traj) -> None:
     header = (["t"]
               + [f"alpha_{i+1}" for i in range(k)]
               + [f"z_{i+1}" for i in range(k)])
-    n_ctrl = 0
+    columns = [traj.grid[:, None], traj.alpha, traj.z]
     if traj.controls is not None:
         n_ctrl = traj.controls.shape[1]
         labels = list(traj.control_labels) if traj.control_labels else []
         if len(labels) != n_ctrl:
             labels = [f"u_{i+1}" for i in range(n_ctrl)]
         header += labels
+        if n_ctrl:
+            columns.append(traj.controls)
     header += ["norm_y", "norm_a_alpha_minus_half", "norm_a_alpha"]
     norms = traj.norms
-
-    def rows():
-        for i in range(traj.n_samples):
-            row = [traj.grid[i]]
-            row.extend(traj.alpha[i])
-            row.extend(traj.z[i])
-            if n_ctrl:
-                row.extend(traj.controls[i])
-            row.extend([norms["y"][i], norms["a_alpha_minus_half"][i],
-                        norms["a_alpha"][i]])
-            yield row
-
-    write_csv(path, header, rows())
+    columns += [norms["y"][:, None], norms["a_alpha_minus_half"][:, None],
+                norms["a_alpha"][:, None]]
+    write_csv(path, header, np.hstack(columns))
 
 
 def decay_curve_csv(path, traj, floor: float = 1e-300) -> None:
@@ -119,14 +108,9 @@ def decay_curve_csv(path, traj, floor: float = 1e-300) -> None:
     header = ["t", "log_norm_y", "log_norm_a_alpha_minus_half",
               "log_norm_a_alpha"]
     norms = traj.norms
-    keys = ["y", "a_alpha_minus_half", "a_alpha"]
-
-    def rows():
-        for i in range(traj.n_samples):
-            yield [traj.grid[i]] + [
-                math.log(max(norms[key][i], floor)) for key in keys]
-
-    write_csv(path, header, rows())
+    logs = [np.log(np.maximum(norms[key], floor))
+            for key in ("y", "a_alpha_minus_half", "a_alpha")]
+    write_csv(path, header, np.column_stack([traj.grid] + logs))
 
 
 def null_control_csv(path, nc) -> None:
@@ -134,12 +118,7 @@ def null_control_csv(path, nc) -> None:
     m = nc.w.shape[0]
     header = (["t"] + [f"w_{i+1}" for i in range(m)]
               + [f"v_{i+1}" for i in range(m)])
-
-    def rows():
-        for i in range(nc.grid.size):
-            yield [nc.grid[i]] + list(nc.w[:, i]) + list(nc.v[:, i])
-
-    write_csv(path, header, rows())
+    write_csv(path, header, np.column_stack([nc.grid, nc.w.T, nc.v.T]))
 
 
 def controller_document(solution, kernel, spectrum) -> dict:

@@ -2,10 +2,12 @@
 
 Two independent routes produce trajectories: an exact per-mode formula
 (variation of constants on the second-order modal equation, with
-convolution states updated cell by cell) and a fixed-step RK4 run on the
-first-order augmentation ``alpha' = -lam alpha - b lam z + u``,
-``z' = alpha - delta z``.  They share no code beyond the kernel/spectrum
-types, which is what makes their agreement a meaningful check.
+convolution states updated cell by cell) and an exact matrix-exponential
+propagation of the first-order augmentation ``alpha' = -lam alpha -
+b lam z + u``, ``z' = alpha - delta z``, which also carries linear
+feedback controllers.  The first works root by root, the second on the
+state matrix; they share only the kernel/spectrum types and the Gauss
+nodes of a cell, which is what makes their agreement a meaningful check.
 
 Nonzero forcing is handled by translation: subtract the steady state,
 absorb the memory mismatch into a decaying residual forcing, and shift
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
@@ -30,11 +33,6 @@ from .exceptions import (
     WindowTooShortError,
 )
 from .spectral import MemoryKernel, Spectrum, modal_roots
-
-DEFAULT_STEP = 1e-3
-STABILITY_FACTOR = 2.7
-MAX_HALVINGS = 10
-
 
 # ---------------------------------------------------------------------------
 # control signals
@@ -492,122 +490,125 @@ def simulate_exact(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
 
 
 # ---------------------------------------------------------------------------
-# RK4 on the first-order augmentation
+# exact propagation of the first-order augmentation
 
 
-def _max_root_magnitudes(lams, kernel: MemoryKernel):
-    mags_plus = []
-    mags_both = []
-    for lam in lams:
-        pr = modal_roots(lam, kernel)
-        mags_plus.append(abs(pr.mu_plus))
-        mags_both.append(max(abs(pr.mu_plus), abs(pr.mu_minus)))
-    if not mags_plus:
-        return 1.0, 1.0
-    return max(mags_plus), max(mags_both)
+def _width_classes(grid: np.ndarray):
+    """Label the cell widths of ``grid`` that differ only by rounding.
+
+    A width within 16 ulp of the grid's largest time of its class's
+    smallest member joins that class, so a uniform grid has a single
+    class however long it runs.  Returns the class of every cell and
+    each class's mean width, which keeps a uniform grid's samples on
+    their times.
+    """
+    widths = np.diff(grid)
+    tol = 16.0 * np.finfo(float).eps * float(np.max(np.abs(grid)))
+    uniq, inverse = np.unique(widths, return_inverse=True)
+    label_of = np.empty(uniq.size, dtype=int)
+    first, cls = -np.inf, -1
+    for i, h in enumerate(uniq):
+        if h - first > tol:
+            first, cls = h, cls + 1
+        label_of[i] = cls
+    labels = label_of[inverse.reshape(-1)]
+    return labels, np.bincount(labels, widths) / np.bincount(labels)
 
 
 def simulate_ode(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
                  t_grid, *, forcing: ForcingField | None = None,
-                 step: float | None = None,
-                 max_halvings: int = MAX_HALVINGS,
                  frac_alpha: float = 0.5) -> Trajectory:
-    """Integrate the augmented modal system with classical RK4.
+    """Propagate the augmented modal system exactly by matrix exponentials.
 
-    The state per mode is (alpha, z); controllers may carry extra state
-    of their own (objects exposing ``aux0``, ``modal_input`` and
-    ``aux_derivative``), which is how dynamic feedback laws ride along.
-    Open-loop signals only need ``value``.
+    The state is x = (alpha, z, aux) with ``alpha' = -lam alpha -
+    b lam z + u + f`` and ``z' = alpha - delta z``; ``aux`` is the
+    controller's own state.  A linear feedback controller (an object
+    exposing ``aux0``, ``input_matrix`` U and ``aux_matrix`` V) closes
+    the loop as u = U x, aux' = V x, so the loop stays linear and time
+    invariant.  Any other control is an open-loop signal and only needs
+    ``value``.
 
-    The step defaults to min(1e-3, 0.1 / max |mu+|) and is clamped to
-    the explicit stability bound 2.7 / max |root|.  If the run still
-    blows up (feedback can move the closed-loop eigenvalues), the step
-    is halved and the run restarted, up to ``max_halvings`` times.
+    Each output cell of width h is crossed by the exact step map
+    e^{A h}, computed once per distinct width (widths that differ only
+    by rounding share one map).  Open-loop signals and forcing are
+    evaluated on the Gauss nodes of every cell in one call, and the
+    polynomial through those values is convolved with e^{A (h - tau)}
+    exactly: the same exponential that gives the step map carries a
+    chain of integrators driving the alpha inputs, so the convolution
+    stays exact however stiff the modes are.  That exponential has
+    order 2k + aux + 8k, against 2k + aux without inputs.  A state norm
+    above 1e6 (1 + |y0|) at an output sample means the loop itself
+    diverges and raises ``StepInstabilityError``.
     """
     grid = _check_grid(t_grid)
     y0 = np.asarray(y0, dtype=float).reshape(-1)
     k = y0.size
     lams, _ = spectrum.expanded(k)
-    b, delta = kernel.b, kernel.delta
-    blam = b * lams
-
-    dynamic = hasattr(control, "aux_derivative")
-    if dynamic:
-        aux0 = np.asarray(control.aux0, dtype=float).reshape(-1)
-    else:
-        aux0 = np.zeros(0)
-    n_aux = aux0.size
-
     if forcing is not None and forcing.k != k:
         raise DimensionMismatchError(
             f"forcing covers {forcing.k} modes, state has {k}")
 
-    def modal_u(t, alpha, z, aux):
-        if dynamic:
-            return np.asarray(control.modal_input(t, alpha, z, aux),
-                              dtype=float).reshape(-1)
-        return control.value(t)[:, 0]
-
-    def rhs(t, state):
-        alpha = state[:k]
-        z = state[k:2 * k]
-        aux = state[2 * k:]
-        u = modal_u(t, alpha, z, aux)
-        f = forcing.modal_at(t)[:, 0] if forcing is not None else 0.0
-        d_alpha = -lams * alpha - blam * z + u + f
-        d_z = alpha - delta * z
-        if dynamic:
-            d_aux = np.asarray(control.aux_derivative(t, alpha, z, aux),
-                               dtype=float).reshape(-1)
-            return np.concatenate([d_alpha, d_z, d_aux])
-        return np.concatenate([d_alpha, d_z])
-
-    max_plus, max_both = _max_root_magnitudes(lams, kernel)
-    h = step if step is not None else min(DEFAULT_STEP, 0.1 / max(max_plus, 1e-12))
-    h = min(h, STABILITY_FACTOR / max(max_both, 1e-12))
+    linear = hasattr(control, "aux_matrix")
+    aux0 = (np.asarray(control.aux0, dtype=float).reshape(-1) if linear
+            else np.zeros(0))
+    dim = 2 * k + aux0.size
+    a = np.zeros((dim, dim))
+    a[:k, :k] = -np.diag(lams)
+    a[:k, k:2 * k] = -kernel.b * np.diag(lams)
+    a[k:2 * k, :k] = np.eye(k)
+    a[k:2 * k, k:2 * k] = -kernel.delta * np.eye(k)
+    signals = []
+    if linear:
+        u_mat = np.asarray(control.input_matrix, dtype=float)
+        a[:k] += u_mat
+        a[2 * k:] = control.aux_matrix
+    elif not isinstance(control, ZeroSignal):
+        signals.append(control.value)
+    if forcing is not None:
+        signals.append(forcing.modal_at)
 
     s = grid.size
-    guard = 1e6 * (1.0 + float(np.linalg.norm(y0)))
-    for attempt in range(max_halvings + 1):
-        alpha_out = np.zeros((s, k))
-        z_out = np.zeros((s, k))
-        u_out = np.zeros((s, k))
-        alpha_out[0] = y0
-        state = np.concatenate([y0, np.zeros(k), aux0])
-        u_out[0] = modal_u(0.0, y0, np.zeros(k), aux0)
-        ok = True
+    x = np.empty((s, dim))
+    x[0] = np.concatenate([y0, np.zeros(k), aux0])
+    if s > 1:
+        labels, widths = _width_classes(grid)
+        q = quadrature.DEFAULT_NODES if signals else 0
+        gen = np.zeros((dim + q * k, dim + q * k))
+        if signals:
+            # in cell time s = (t - t0) / h the input is the node
+            # interpolant p = sum_i c_i s^i / i!; the integrator chain
+            # q_i' = q_{i+1} from q(0) = c feeds q_0 = p into alpha', so
+            # the exponential that holds e^{A h} also holds the exact
+            # convolution of every Taylor term
+            gen[:k, dim:dim + k] = np.eye(k)
+            gen[dim:-k, dim + k:] = np.eye((q - 1) * k)
+        maps = []
+        for h in widths:
+            gen[:dim, :dim] = a * h
+            maps.append(scipy.linalg.expm(gen)[:dim])
+        steps = [m[:, :dim] for m in maps]
+        drive = np.zeros((s - 1, dim))
+        if signals:
+            pts, _ = quadrature.cell_nodes(grid[:-1, None], grid[1:, None])
+            sig = sum(f(pts.reshape(-1)) for f in signals)
+            coef = np.einsum("ij,kcj->cik", quadrature.taylor_interpolation(),
+                             sig.reshape(k, s - 1, q)).reshape(s - 1, q * k)
+            for cls, (h, m) in enumerate(zip(widths, maps)):
+                cells = labels == cls
+                drive[cells] = h * coef[cells] @ m[:, dim:].T
+        guard = (1e6 * (1.0 + float(np.linalg.norm(y0)))) ** 2
         for c in range(s - 1):
-            t0, t1 = grid[c], grid[c + 1]
-            n_sub = max(1, math.ceil((t1 - t0) / h))
-            hs = (t1 - t0) / n_sub
-            t = t0
-            for _ in range(n_sub):
-                k1 = rhs(t, state)
-                k2 = rhs(t + 0.5 * hs, state + 0.5 * hs * k1)
-                k3 = rhs(t + 0.5 * hs, state + 0.5 * hs * k2)
-                k4 = rhs(t + hs, state + hs * k3)
-                state = state + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += hs
-                if not np.all(np.isfinite(state)) or \
-                        float(np.linalg.norm(state)) > guard:
-                    ok = False
-                    break
-            if not ok:
-                break
-            alpha_out[c + 1] = state[:k]
-            z_out[c + 1] = state[k:2 * k]
-            u_out[c + 1] = modal_u(t1, state[:k], state[k:2 * k],
-                                   state[2 * k:])
-        if ok:
-            return Trajectory(grid=grid, alpha=alpha_out, z=z_out,
-                              lambdas=lams, controls=u_out,
-                              control_labels=tuple(f"u_{i+1}"
-                                                   for i in range(k)),
-                              frac_alpha=frac_alpha)
-        h *= 0.5
-    raise StepInstabilityError(
-        f"integration unstable after {max_halvings} step halvings "
-        f"(final step {h:.3e})")
+            x[c + 1] = steps[labels[c]] @ x[c] + drive[c]
+            if not x[c + 1] @ x[c + 1] <= guard:
+                raise StepInstabilityError(
+                    f"trajectory diverges: state norm above "
+                    f"1e6 (1 + |y0|) at t={grid[c + 1]:.6g}")
+
+    controls = x @ u_mat.T if linear else control.value(grid).T
+    return Trajectory(grid=grid, alpha=x[:, :k], z=x[:, k:2 * k],
+                      lambdas=lams, controls=controls,
+                      control_labels=tuple(f"u_{i+1}" for i in range(k)),
+                      frac_alpha=frac_alpha)
 
 
 # ---------------------------------------------------------------------------

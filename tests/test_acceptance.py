@@ -271,7 +271,8 @@ def test_08_headline_decay_rates():
 
 def test_09_cross_method_simulation():
     rng = np.random.default_rng(909)
-    with verdict(9, "closed-form and RK4 routes agree", 30.0):
+    with verdict(9, "closed-form and matrix-exponential routes agree",
+                 30.0):
         grid = np.linspace(0.0, 5.0, 251)
         done = 0
         while done < 50:
@@ -363,3 +364,27 @@ def test_12_multiplicity_pipeline(tmp_path):
             cert = json.load(fh)
         assert cert["pass"] is True
         assert cert["fitted_rate"] >= 1.96
+
+
+def test_13_stiff_oldroyd_command_line(tmp_path):
+    # the 24th Oldroyd-B mode has a root near 3,456 while the slowest
+    # roots sit near 3.5: the cost must not follow the largest root
+    with verdict(13, "stiff Oldroyd-B scenario through the command line",
+                 10.0):
+        out = tmp_path / "out"
+        doc = {
+            "spectrum": {"kind": "dirichlet_1d", "scale": 1.0 / PI_SQ,
+                         "n_modes": 24},
+            "fluid": {"model": "oldroyd", "nu": 3.5, "kappa": 1.0,
+                      "lambda_relax": 1.0 / 3.0},
+            "gamma": 1.5,
+            "out": str(out),
+        }
+        cfg = tmp_path / "oldroyd.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["synthesize", "--config", str(cfg)]) == 0
+        assert cli.main(["certify", "--config", str(cfg)]) == 0
+        assert cli.main(["simulate", "--config", str(cfg), "--controller",
+                         str(out / "controller.json")]) == 0
+        with open(out / "certificate.json", "r", encoding="utf-8") as fh:
+            assert json.load(fh)["pass"] is True

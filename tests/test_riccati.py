@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from pidestab import (
     ActuatorSet,
@@ -28,13 +29,16 @@ from pidestab import (
     default_actuators,
     embed_initial,
     feedback_gain_to_control,
+    make_closed_loop,
     modal_roots,
     partition_spectrum,
     rayleigh_bounds,
     shifted_coefficients,
     simulate_closed_loop,
+    simulate_ode,
     solve_are,
 )
+from pidestab.fluids import indicator_actuators_1d
 
 HEADLINE_RATE = 2.0
 OPEN_LOOP_RATE = (5.0 - math.sqrt(5.0)) / 2.0
@@ -390,15 +394,55 @@ def test_certify_rejects_mismatched_rate():
         certify_decay(sol, spectrum, kernel, 1.5, np.ones(4), t_max=4.0)
 
 
-def test_exponential_route_matches_rk4_route():
-    # the expm propagation of the autonomous loop and the RK4 run with
-    # the dynamic feedback must tell the same story
-    spectrum, kernel, _, sol = headline_solution(truncation_k=6, n_modes=6)
-    y0 = np.array([1.0, -0.3, 0.2, 0.0, 0.1, 0.0])
-    t_max = 4.0
+def test_exponential_route_matches_simulate_ode():
+    # with the design modes only (n = K) the original-frame propagation
+    # of certify_decay and the shifted-frame run are the same linear
+    # flow, so they agree to rounding
+    spectrum, kernel, _, sol = headline_solution()
+    y0 = np.linspace(1.0, -0.5, 16)
+    t_max = 6.0
     cert = certify_decay(sol, spectrum, kernel, HEADLINE_RATE, y0,
-                         t_max=t_max, samples=801)
-    run = simulate_closed_loop(sol, y0, t_max=t_max, samples=801)
-    alpha_expm = run.to_trajectory().alpha
-    diff = np.max(np.abs(alpha_expm - cert.trajectory.alpha))
-    assert diff < 1e-6 * max(1.0, np.max(np.abs(cert.trajectory.alpha)))
+                         t_max=t_max, samples=601)
+    run = simulate_closed_loop(sol, y0, t_max=t_max, samples=601)
+    expm_traj = run.to_trajectory()
+    for field in ("alpha", "z", "controls"):
+        ours = getattr(cert.trajectory, field)
+        theirs = getattr(expm_traj, field)
+        assert np.max(np.abs(ours - theirs)) <= \
+            1e-10 * np.max(np.abs(theirs))
+
+
+def test_simulate_ode_spillover_matches_solve_ivp():
+    # a K = 4 design run on 10 modes: the indicator actuator also drives
+    # the six undesigned modes.  The augmented ODE is written out here
+    # and integrated by DOP853.
+    n, k = 10, 4
+    spectrum = dirichlet_spectrum(n)
+    kernel = MemoryKernel(b=1.0, delta=4.0)
+    acts = indicator_actuators_1d([(0.1, 0.4)], n)
+    sol = solve_are(build_shifted(spectrum, kernel, HEADLINE_RATE, acts,
+                                  truncation_k=k))
+    lam = np.arange(1.0, n + 1.0) ** 2
+    c = acts.rows(n)
+    b, delta, gamma = kernel.b, kernel.delta, HEADLINE_RATE
+
+    def rhs(t, x):
+        alpha, z, v = x[:n], x[n:2 * n], x[2 * n:]
+        d_alpha = -lam * alpha - b * lam * z + c @ v
+        a = alpha[:k]
+        w = -(sol.gain @ np.concatenate([a, d_alpha[:k] + gamma * a]))
+        return np.concatenate([d_alpha, alpha - delta * z, w - delta * v])
+
+    y0 = np.linspace(1.0, 0.1, n)
+    grid = np.linspace(0.0, 4.0, 401)
+    ref = solve_ivp(rhs, (0.0, 4.0), np.concatenate([y0, np.zeros(n + 1)]),
+                    method="DOP853", t_eval=grid, rtol=1e-12, atol=1e-14)
+    assert ref.success
+    traj = simulate_ode(spectrum, kernel, y0,
+                        make_closed_loop(sol, acts, kernel, n), grid)
+    assert np.max(np.abs(c[k:])) > 0.05
+    for ours, theirs in ((traj.alpha, ref.y[:n].T),
+                         (traj.z, ref.y[n:2 * n].T),
+                         (traj.controls, ref.y[2 * n:].T @ c.T)):
+        assert np.max(np.abs(ours - theirs)) <= \
+            1e-9 * np.max(np.abs(theirs))

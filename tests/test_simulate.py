@@ -1,9 +1,10 @@
 """Trajectory routes, forcing translation and decay fitting.
 
-The two simulation routes share only the kernel/spectrum types, so their
-agreement doubles as an oracle; closed-form single-mode solutions pin
-each route on its own.  Norm weights and fits are checked on synthetic
-trajectories built directly from analytic samples.
+The two simulation routes share only the kernel/spectrum types and the
+Gauss nodes of each cell, so their agreement doubles as an oracle;
+closed-form single-mode solutions pin each route on its own.  Norm
+weights and fits are checked on synthetic trajectories built directly
+from analytic samples.
 """
 
 import math
@@ -33,6 +34,7 @@ from pidestab.simulate import (
     ActuatorModalSignal,
     CallableModalSignal,
     ConstantModalSignal,
+    _width_classes,
     attach_actuator_preimage,
 )
 from pidestab.synthesis import ActuatorSet
@@ -83,6 +85,24 @@ def test_exact_constant_control_equilibrium():
     assert ode.alpha[-1, 0] == pytest.approx(target, rel=1e-8)
 
 
+def test_ode_stiff_mode_input_equilibrium():
+    # lam h = 200: the kernel e^{A (h - tau)} has decayed long before the
+    # last Gauss node of a cell, and its fast part carries twice the
+    # equilibrium, so a quadrature of the convolution misses it
+    lam = 4000.0
+    spectrum = Spectrum.from_values([lam])
+    kernel = MemoryKernel(b=1.0, delta=1.0)
+    c = 0.8
+    grid = grid_to(20.0, 401)
+    target = c * 1.0 / (lam * (1.0 + 1.0))
+    signal = simulate_ode(spectrum, kernel, [0.0], ConstantModalSignal([c]),
+                          grid)
+    assert signal.alpha[-1, 0] == pytest.approx(target, rel=1e-8)
+    forced = simulate_ode(spectrum, kernel, [0.0], ZeroSignal(1), grid,
+                          forcing=ForcingField.constant([c]))
+    assert forced.alpha[-1, 0] == pytest.approx(target, rel=1e-8)
+
+
 def test_exact_memory_variable_definition():
     # z_n(t) = int_0^t e^{-delta (t-s)} alpha_n(s) ds, checked on the
     # known alpha(t) = e^{-t} cos t against the analytic integral
@@ -119,7 +139,7 @@ def test_grid_validation():
 
 
 # ---------------------------------------------------------------------------
-# RK4 route
+# matrix-exponential route
 
 
 def test_ode_memoryless_accuracy():
@@ -127,8 +147,7 @@ def test_ode_memoryless_accuracy():
     kernel = MemoryKernel(b=0.0, delta=1.0)
     grid = grid_to(2.0, 201)
     y0 = np.array([1.0, -0.5, 0.25])
-    traj = simulate_ode(spectrum, kernel, y0, ZeroSignal(3), grid,
-                        step=1e-3)
+    traj = simulate_ode(spectrum, kernel, y0, ZeroSignal(3), grid)
     expected = y0[None, :] * np.exp(-np.outer(grid, [1.0, 3.0, 7.0]))
     assert np.max(np.abs(traj.alpha - expected)) <= 1e-10
 
@@ -146,22 +165,18 @@ def test_ode_memory_variable_residual():
 
 
 def test_ode_step_instability_detected():
-    # positive feedback drives the loop unstable; after the halving
-    # budget the integrator refuses rather than returning garbage
+    # positive feedback u = 60 alpha on x = (alpha, z) drives the loop
+    # unstable; the run refuses rather than returning garbage
     class RunawayFeedback:
         aux0 = np.zeros(0)
-
-        def modal_input(self, t, alpha, z, aux):
-            return 60.0 * alpha
-
-        def aux_derivative(self, t, alpha, z, aux):
-            return aux
+        input_matrix = np.array([[60.0, 0.0]])
+        aux_matrix = np.zeros((0, 2))
 
     spectrum = Spectrum.from_values([1.0])
     kernel = MemoryKernel(b=1.0, delta=1.0)
     with pytest.raises(StepInstabilityError):
         simulate_ode(spectrum, kernel, [1.0], RunawayFeedback(),
-                     grid_to(2.0, 21), max_halvings=2)
+                     grid_to(2.0, 21))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +217,35 @@ def test_cross_method_open_loop_sweep():
         scale = max(1.0, float(np.max(np.abs(exact.alpha))))
         assert np.max(np.abs(exact.alpha - ode.alpha)) <= 1e-6 * scale
         assert np.max(np.abs(exact.z - ode.z)) <= 1e-6 * scale
+
+
+def test_cross_method_nonuniform_grid():
+    # four cell widths: each width gets its own step map and input
+    # weights, and the cells must still chain into one trajectory
+    grid = np.concatenate([np.linspace(0.0, 1.0, 51),
+                           np.linspace(1.0, 3.0, 41)[1:],
+                           3.0 + np.cumsum([0.3, 0.7, 0.3, 0.7])])
+    spectrum = Spectrum.from_values([0.8, 3.0])
+    kernel = MemoryKernel(b=1.0, delta=2.0)
+    control = smooth_control(2, np.random.default_rng(7))
+    exact = simulate_exact(spectrum, kernel, [1.0, -0.4], control, grid)
+    ode = simulate_ode(spectrum, kernel, [1.0, -0.4], control, grid)
+    assert np.max(np.abs(exact.alpha - ode.alpha)) <= 1e-8
+
+
+def test_long_uniform_grids_share_one_step_map():
+    # cell widths of long grids differ by the rounding of t, which
+    # grows with t; they must still share one step map, and its width
+    # must keep the samples on their times
+    for grid in (np.linspace(0.0, 200.0, 20001),
+                 np.arange(0.0, 100.0005, 0.001),
+                 np.arange(0.0, 1000.0, 0.01)):
+        labels, widths = _width_classes(grid)
+        assert widths.size == 1 and not labels.any()
+        assert abs(widths[0] * (grid.size - 1) - grid[-1]) <= 1e-12
+    split = np.concatenate([np.linspace(0.0, 1.0, 51),
+                            1.0 + 1e-9 * np.arange(1, 4)])
+    assert _width_classes(split)[1].size == 2
 
 
 def test_cross_method_with_forcing():

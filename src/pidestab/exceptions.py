@@ -75,8 +75,9 @@ class GramianSingularError(PidestabError):
 
 
 class HorizonTooSmallError(PidestabError):
-    """The steering Gramian is invertible but so badly conditioned that
-    the horizon is effectively too short."""
+    """The steering Gramian is invertible but so badly conditioned, or
+    the verified steering control misses zero by so much, that the
+    horizon is effectively too short."""
 
 
 class NotStabilizableError(PidestabError):

@@ -35,6 +35,10 @@ DEGENERACY_TOL = 1e-9
 #: entry with summed multiplicity
 MERGE_TOL = 1e-12
 
+#: rows per block of the cross-branch scan in check_degeneracy, which
+#: bounds its scratch arrays to this many rows of all modes
+_SCAN_ROWS = 256
+
 
 @dataclass(frozen=True)
 class MemoryKernel:
@@ -288,18 +292,25 @@ def check_degeneracy(spectrum: Spectrum, kernel: MemoryKernel,
                 value=pair.mu_plus,
                 separation=abs(pair.mu_plus - pair.mu_minus),
             ))
-    for i in range(len(pairs)):
-        for j in range(len(pairs)):
-            if i == j:
-                continue
-            sep = abs(pairs[i].mu_plus - pairs[j].mu_minus)
-            if sep <= tol * max(1.0, abs(pairs[i].mu_plus)):
-                labels = (spectrum.entries[i].label, spectrum.entries[j].label)
+    mu_plus = np.array([pair.mu_plus for pair in pairs], dtype=complex)
+    mu_minus = np.array([pair.mu_minus for pair in pairs], dtype=complex)
+    # NumPy's complex abs can differ from Python's in the last bit, so
+    # the array scan keeps candidates with a margin and each entry is
+    # decided and measured by the scalar test
+    limit = (1.0 + 1e-12) * tol * np.maximum(1.0, np.abs(mu_plus))
+    # all pairs (i, j), a block of rows at a time to bound the memory
+    for lo in range(0, len(pairs), _SCAN_ROWS):
+        sep = np.abs(mu_plus[lo:lo + _SCAN_ROWS, None] - mu_minus[None, :])
+        for r, j in zip(*np.nonzero(sep <= limit[lo:lo + _SCAN_ROWS, None])):
+            i = lo + r  # row-major: i, then j
+            gap = abs(pairs[i].mu_plus - pairs[j].mu_minus)
+            if i != j and gap <= tol * max(1.0, abs(pairs[i].mu_plus)):
                 report.append(DegeneracyViolation(
                     kind="branch_collision",
-                    labels=labels,
+                    labels=(spectrum.entries[i].label,
+                            spectrum.entries[j].label),
                     value=pairs[i].mu_plus,
-                    separation=sep,
+                    separation=gap,
                 ))
     return report
 

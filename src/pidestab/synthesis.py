@@ -8,9 +8,10 @@ rate.  Two independent certificates are computed for steerability — the
 group-slice rank conditions in transformed coordinates, and a Gramian
 eigenvalue test — and the steering control itself is the classical
 minimum-energy formula.  Gramians are exact (one Lyapunov solve and one
-matrix exponential each), and the steering control and the physical
-actuator amplitudes come from one backward recursion of an augmented
-linear system, so no quadrature enters the steering.
+matrix exponential each); the steering control is sampled with powers
+of one cell exponential, the physical actuator amplitudes follow from it
+in closed form, and the exact cell map of the controlled system verifies
+that the control reaches zero, so no quadrature enters the steering.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .spectral import (
 
 RANK_RTOL = 1e-10
 COND_LIMIT = 1e12
+TERMINAL_LIMIT = 1e-6  # largest accepted |x(T)| / |x0| of a steering control
 CONTROL_SAMPLES = 1025  # output samples of a steering control
 
 
@@ -475,7 +477,7 @@ class NullControl:
     v: np.ndarray          # (M, samples)
     energy: float
     energy_ratio: float    # energy / |x0|^2, the realized steering constant
-    terminal_error: float  # |X(T)| / |x0| from the verification run
+    terminal_error: float  # |X(T)| / |x0| under the exact cell map
     gramian_condition: float
 
 
@@ -496,25 +498,38 @@ def controllability_gramian(a: np.ndarray, b: np.ndarray,
     return 0.5 * (gram + gram.conj().T)
 
 
-def _rk4_forced(a: np.ndarray, forcing_samples: np.ndarray, x0: np.ndarray,
-                h: float) -> np.ndarray:
-    """Integrate ``x' = a x + f(t)`` with forcing given on half steps.
+def _powers(step: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
+    """Columns ``step^k start`` for ``k = 0 .. count-1``.
 
-    ``forcing_samples`` has one column per half step (2*steps + 1).
-    Returns the terminal state only.
+    Doubling: the columns held so far are advanced by ``step^n`` in one
+    matmul, so ``count`` columns take about ``log2(count)`` matmuls.
     """
-    x = x0.astype(float).copy()
-    steps = (forcing_samples.shape[1] - 1) // 2
-    for i in range(steps):
-        f0 = forcing_samples[:, 2 * i]
-        fm = forcing_samples[:, 2 * i + 1]
-        f1 = forcing_samples[:, 2 * i + 2]
-        k1 = a @ x + f0
-        k2 = a @ (x + 0.5 * h * k1) + fm
-        k3 = a @ (x + 0.5 * h * k2) + fm
-        k4 = a @ (x + h * k3) + f1
-        x += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+    cols = start.reshape(-1, 1)
+    power = step
+    while cols.shape[1] < count:
+        n = cols.shape[1]
+        cols = np.hstack([cols, power @ cols[:, :count - n]])
+        if cols.shape[1] < count:
+            power = power @ power
+    return cols
+
+
+def _fold(phi: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """End state ``sum_k phi^(n-1-k) cols[:, k]`` of
+    ``x_{k+1} = phi x_k + cols[:, k]`` from ``x_0 = 0``.
+
+    Pairwise in log depth: each level joins neighbouring runs of equal
+    length ``L`` as ``phi^L first + second``, all pairs in one matmul.
+    """
+    power = phi
+    while cols.shape[1] > 1:
+        if cols.shape[1] % 2:
+            # a leading zero run leaves the end state unchanged
+            cols = np.hstack([np.zeros((cols.shape[0], 1)), cols])
+        cols = power @ cols[:, 0::2] + cols[:, 1::2]
+        if cols.shape[1] > 1:
+            power = power @ power
+    return cols[:, 0]
 
 
 def min_energy_control(companion: CompanionSystem, x0,
@@ -523,14 +538,16 @@ def min_energy_control(companion: CompanionSystem, x0,
 
     Implements ``w(t) = -Q^T e^{P^T (T-t)} g`` with
     ``g = G_T^{-1} e^{P T} x0`` and the finite-horizon Gramian ``G_T``;
-    the energy is ``g^T G_T g``.  One backward recursion of
-    ``psi' = -P^T psi``, ``v' = -delta v - Q^T psi`` from
-    ``psi(T) = g``, ``v(T) = 0`` gives ``w = -Q^T psi`` and the physical
-    amplitudes ``v`` (``v' + delta v = w``) exactly on the half steps of
-    the verification grid, with one step exponential.  The
-    ``CONTROL_SAMPLES`` output samples are a subsample of those half
-    steps.  A forward RK4 integration of the controlled system on the
-    same half steps verifies the terminal state; its relative size is
+    the energy is ``g^T G_T g``.  The costate
+    ``psi(t) = e^{P^T (T-t)} g`` is sampled on the ``CONTROL_SAMPLES``
+    output grid as powers of one cell exponential, applied by doubling,
+    and gives ``w = -Q^T psi``.  The physical amplitudes ``v``
+    (``v' + delta v = w``, ``v(T) = 0``) follow in closed form,
+    ``v = L psi - e^{delta (T-t)} L g`` with ``L (P^T - delta I) = Q^T``.
+    The exact cell map of the controlled system,
+    ``x_{k+1} = Phi x_k + Gamma psi_k`` from the exponential of the
+    Hamiltonian ``[[P, -Q Q^T], [0, -P^T]]``, carries ``x0`` to the
+    terminal state in log depth; its size relative to ``|x0|`` is
     reported on the result.
 
     Raises
@@ -540,8 +557,10 @@ def min_energy_control(companion: CompanionSystem, x0,
         steerable through these actuators, the situation the rank
         conditions flag.
     HorizonTooSmallError
-        The Gramian condition number reaches ``COND_LIMIT``, so the
-        steering amplitudes cannot be trusted on this horizon.
+        The Gramian condition number reaches ``COND_LIMIT``, or the
+        verified terminal state misses zero by more than
+        ``TERMINAL_LIMIT`` relative to ``x0``, so the steering
+        amplitudes cannot be trusted on this horizon.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -563,8 +582,7 @@ def min_energy_control(companion: CompanionSystem, x0,
 
     # structural steerability is horizon-free; judge it by the PBH test
     # so that a squeezed horizon cannot masquerade as rank loss
-    p_eigs = np.linalg.eigvals(p)
-    lost = pbh_rank_loss(p, q, p_eigs)
+    lost = pbh_rank_loss(p, q, np.linalg.eigvals(p))
     if lost is not None:
         raise GramianSingularError(
             f"steering Gramian is singular: the mode at eigenvalue "
@@ -581,28 +599,35 @@ def min_energy_control(companion: CompanionSystem, x0,
     g_vec = np.linalg.solve(gram, scipy.linalg.expm(p * horizon) @ x0)
     energy = float(g_vec @ gram @ g_vec)
 
-    # verification steps: the output step, refined until h * rho <= 0.05
+    # exact cell map of x' = P x - Q Q^T psi, psi' = -P^T psi
     h = grid[1] - grid[0]
-    refine = max(1, math.ceil(h * float(np.abs(p_eigs).max()) / 0.05))
-    fine_h = h / refine
-    n_half = 2 * (CONTROL_SAMPLES - 1) * refine + 1
-    # one backward half step of (psi, v)
-    aug = np.zeros((dim + m, dim + m))
-    aug[:dim, :dim] = p.T
-    aug[dim:, :dim] = q.T
-    aug[dim:, dim:] = companion.kernel.delta * np.eye(m)
-    step = scipy.linalg.expm(aug * 0.5 * fine_h)
-    states = np.zeros((n_half, dim + m))
-    states[-1, :dim] = g_vec
-    for j in range(n_half - 1, 0, -1):
-        states[j - 1] = step @ states[j]
-    w_half = -(states[:, :dim] @ q).T
-    terminal = _rk4_forced(p, q @ w_half, x0, fine_h)
-    terminal_error = float(np.linalg.norm(terminal) / x0_norm)
+    delta = companion.kernel.delta
+    ham = np.zeros((2 * dim, 2 * dim))
+    ham[:dim, :dim] = p
+    ham[:dim, dim:] = -q @ q.T
+    ham[dim:, dim:] = -p.T
+    cell = scipy.linalg.expm(ham * h)
+    phi = cell[:dim, :dim]
 
-    out = slice(None, None, 2 * refine)
-    return NullControl(horizon=horizon, grid=grid, w=w_half[:, out],
-                       v=states[out, dim:].T,
+    # psi_k = Phi^T psi_{k+1} back from psi(T) = g
+    psi = _powers(phi.T, g_vec, CONTROL_SAMPLES)[:, ::-1]
+    w = -(q.T @ psi)
+    # P is Hurwitz and delta > 0, so P - delta I is invertible.  In this
+    # form only L g meets the growth e^{delta (T-t)}; a recursion for v
+    # would carry the rounding of every psi sample through it
+    l_psi = np.linalg.solve(p - delta * np.eye(dim), q).T @ psi
+    v = l_psi - l_psi[:, -1:] * np.exp(delta * (horizon - grid))
+
+    # x_{k+1} = Phi x_k + Gamma psi_k carries x0 to the terminal state
+    drive = cell[:dim, dim:] @ psi[:, :-1]
+    drive[:, 0] += phi @ x0
+    terminal_error = float(np.linalg.norm(_fold(phi, drive)) / x0_norm)
+    if not terminal_error <= TERMINAL_LIMIT:
+        raise HorizonTooSmallError(
+            f"steering control misses the target by {terminal_error:.3e} "
+            f"of |x0| (limit {TERMINAL_LIMIT:.0e}); increase the horizon")
+
+    return NullControl(horizon=horizon, grid=grid, w=w, v=v,
                        energy=energy, energy_ratio=energy / x0_norm ** 2,
                        terminal_error=terminal_error,
                        gramian_condition=cond)

@@ -243,6 +243,68 @@ def test_degeneracy_scan_normalized_case():
     assert any(v.kind == "double_root" for v in report)
 
 
+def _degeneracy_scan_reference(spectrum, kernel, tol):
+    """The all-pairs loop the vectorised scan replaced, kept as oracle."""
+    pairs = [modal_roots(e.lam, kernel, tol) for e in spectrum.entries]
+    report = []
+    for entry, pair in zip(spectrum.entries, pairs):
+        if pair.is_degenerate:
+            report.append(("double_root", (entry.label,), pair.mu_plus,
+                           abs(pair.mu_plus - pair.mu_minus)))
+    for i in range(len(pairs)):
+        for j in range(len(pairs)):
+            if i == j:
+                continue
+            sep = abs(pairs[i].mu_plus - pairs[j].mu_minus)
+            if sep <= tol * max(1.0, abs(pairs[i].mu_plus)):
+                report.append(("branch_collision",
+                               (spectrum.entries[i].label,
+                                spectrum.entries[j].label),
+                               pairs[i].mu_plus, sep))
+    return report
+
+
+def test_degeneracy_scan_matches_all_pairs_loop():
+    """Random spectra with planted collisions and double roots: the
+    same violations, in the same order, with the same values and
+    types as the all-pairs loop."""
+    rng = np.random.default_rng(11)
+    collisions = wide_collisions = 0
+    for trial in range(60):
+        b = 0.0 if trial % 5 == 0 else float(rng.uniform(0.05, 3.0))
+        delta = float(rng.uniform(0.5, 5.0))
+        kernel = MemoryKernel(b=b, delta=delta)
+        # the last trials span several row blocks of the scan
+        size = 700 if trial >= 57 else int(rng.integers(2, 25))
+        values = list(rng.uniform(0.05, 20.0, size))
+        if trial % 3 == 0:
+            # double root: zero discriminant
+            values.append(2 * b + delta - 2.0 * math.sqrt(b * (b + delta)))
+        for lam in values[:3]:
+            # a mode whose slow root is the fast root mu of mode lam
+            pair = modal_roots(lam, kernel)
+            if pair.is_real and b > 0.0:
+                mu = pair.mu_plus.real
+                partner = mu * (delta - mu) / (b + delta - mu)
+                if partner > 0.0:
+                    values.append(partner)
+        values = [v for v in values if v > 0.0]
+        tol = float(rng.choice([1e-9, 1e-3, 0.05]))
+        spectrum = Spectrum.from_values(values)
+        got = check_degeneracy(spectrum, kernel, tol)
+        ref = _degeneracy_scan_reference(spectrum, kernel, tol)
+        assert [(v.kind, v.labels, v.value, v.separation)
+                for v in got] == ref
+        for v in got:
+            assert type(v.value) is complex
+            assert type(v.separation) is float
+        found = sum(v.kind == "branch_collision" for v in got)
+        collisions += found
+        wide_collisions += found if size > 256 else 0
+    assert collisions >= 20    # the planted collisions are found
+    assert wide_collisions >= 3
+
+
 # ---------------------------------------------------------------------------
 # rate partition
 

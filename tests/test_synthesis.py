@@ -33,7 +33,12 @@ from pidestab import (
     recover_v,
     transform_and_group,
 )
-from pidestab.synthesis import controllability_gramian
+from pidestab.synthesis import (
+    CONTROL_SAMPLES,
+    _fold,
+    _powers,
+    controllability_gramian,
+)
 
 
 def make_setup(values, kernel, gamma, *, coefficients=None, count=None,
@@ -432,6 +437,96 @@ def test_min_energy_four_mode_block_on_long_horizon():
     nc = min_energy_control(comp, x0, 8.0)
     assert nc.gramian_condition == pytest.approx(7.1e11, rel=0.01)
     assert nc.terminal_error <= 1e-6
+
+
+def test_min_energy_rejects_control_that_misses_the_target():
+    """Near the conditioning limit the Gramian test passes at horizon 1,
+    but the exact cell map shows the control missing zero by about
+    1e-5 of |x0|; at horizon 2 the same block is steered."""
+    spectrum = model_spectrum("dirichlet_1d", 0.09 / math.pi ** 2, 64)
+    k = MemoryKernel(b=1.0, delta=4.0)
+    part = partition_spectrum(spectrum, k, 1.56)
+    comp = build_companion(part, k, default_actuators(part), spectrum)
+    assert comp.n_modes == 3
+    y0 = np.random.default_rng(1).uniform(0.5, 1.5, 3)
+    x0 = np.concatenate([y0, -part.lambdas * y0])
+    with pytest.raises(HorizonTooSmallError, match="misses the target"):
+        min_energy_control(comp, x0, 1.0)
+    assert min_energy_control(comp, x0, 2.0).terminal_error <= 1e-7
+
+
+def _per_sample_reference(comp, x0, grid):
+    """w and v at each grid time from its own exponential of the
+    backward (psi, v) system started at (g, 0)."""
+    p, q = comp.p_2n, comp.q_2nm
+    dim, m = q.shape
+    horizon = grid[-1]
+    g = np.linalg.solve(controllability_gramian(p, q, horizon),
+                        scipy.linalg.expm(p * horizon) @ x0)
+    aug = np.zeros((dim + m, dim + m))
+    aug[:dim, :dim] = p.T
+    aug[dim:, :dim] = q.T
+    aug[dim:, dim:] = comp.kernel.delta * np.eye(m)
+    s_t = np.concatenate([g, np.zeros(m)])
+    states = np.stack([scipy.linalg.expm(aug * (horizon - t)) @ s_t
+                       for t in grid], axis=1)
+    return -(q.T @ states[:dim]), states[dim:]
+
+
+def _stiff_companion():
+    """Two modes, the second with a root near 3000, one actuator."""
+    lams = np.array([0.5, 3000.0])
+    k = MemoryKernel(b=1.0, delta=4.0)
+    p = np.zeros((4, 4))
+    p[:2, 2:] = np.eye(2)
+    p[2:, :2] = -np.diag(lams * (k.b + k.delta))
+    p[2:, 2:] = -np.diag(lams + k.delta)
+    q = np.array([[0.0], [0.0], [1.0], [1.0]])
+    return SimpleNamespace(p_2n=p, q_2nm=q, kernel=k)
+
+
+@pytest.mark.parametrize("case", ["chain", "stiff"])
+def test_min_energy_samples_match_per_sample_exponential(case):
+    if case == "chain":
+        b, delta = 1.0, 1.0
+        lam = 2 * b + delta - 2.0 * math.sqrt(b * (b + delta))
+        _, _, _, comp = make_setup([lam], MemoryKernel(b=b, delta=delta),
+                                   0.7, allow_degenerate=True)
+        x0, horizon = np.array([1.0, -lam]), 2.0
+    else:
+        comp = _stiff_companion()
+        x0, horizon = np.array([1.0, 1.0, -0.5, -3000.0]), 1.0
+        rho = np.abs(np.linalg.eigvals(comp.p_2n)).max()
+        assert horizon / (CONTROL_SAMPLES - 1) * rho >= 2.5
+    nc = min_energy_control(comp, x0, horizon)
+    w_ref, v_ref = _per_sample_reference(comp, x0, nc.grid)
+    assert np.abs(nc.w - w_ref).max() <= 1e-9 * np.abs(w_ref).max()
+    assert np.abs(nc.v - v_ref).max() <= 1e-6 * np.abs(v_ref).max()
+    assert np.all(nc.v[:, -1] == 0.0)
+    assert nc.terminal_error <= 1e-8
+
+
+@pytest.mark.parametrize("count", [1, 2, 1024, 1025, 1027])
+def test_doubling_and_log_depth_fold_match_loops(count):
+    rng = np.random.default_rng(count)
+    step = scipy.linalg.expm((rng.normal(size=(4, 4)) - 3.0 * np.eye(4))
+                             * 1e-3)
+    start = rng.normal(size=4)
+    cols = [start]
+    for _ in range(count - 1):
+        cols.append(step @ cols[-1])
+    ref = np.stack(cols, axis=1)
+    got = _powers(step, start, count)
+    assert got.shape == (4, count)
+    np.testing.assert_allclose(got, ref, rtol=0.0,
+                               atol=1e-12 * np.abs(ref).max())
+
+    drive = rng.normal(size=(4, count))
+    x = np.zeros(4)
+    for k in range(count):
+        x = step @ x + drive[:, k]
+    np.testing.assert_allclose(_fold(step, drive), x, rtol=0.0,
+                               atol=1e-12 * np.abs(x).max())
 
 
 def test_min_energy_dimension_guard():

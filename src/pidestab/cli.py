@@ -335,17 +335,18 @@ def cmd_analyze(scenario: Scenario) -> dict:
     ctx = prepare(scenario)
     kernel = ctx.kernel
     omega0 = spectral.growth_bound(kernel)
-    modes = []
-    for entry in ctx.spectrum.entries:
-        pair = spectral.modal_roots(entry.lam, kernel)
-        modes.append({
-            "label": entry.label,
-            "lambda": entry.lam,
-            "multiplicity": entry.multiplicity,
-            "mu_plus": [pair.mu_plus.real, pair.mu_plus.imag],
-            "mu_minus": [pair.mu_minus.real, pair.mu_minus.imag],
-            "real_roots": pair.is_real,
-        })
+    entries = ctx.spectrum.entries
+    roots = spectral.modal_roots(np.array([e.lam for e in entries]), kernel)
+    modes = [{
+        "label": entry.label,
+        "lambda": entry.lam,
+        "multiplicity": entry.multiplicity,
+        "mu_plus": [mu_p.real, mu_p.imag],
+        "mu_minus": [mu_m.real, mu_m.imag],
+        "real_roots": real,
+    } for entry, mu_p, mu_m, real in zip(
+        entries, roots.mu_plus.tolist(), roots.mu_minus.tolist(),
+        roots.is_real.tolist())]
     degeneracies = [{
         "kind": v.kind,
         "labels": list(v.labels),

@@ -57,11 +57,11 @@ class ShiftedSystem:
         return self.q_2km.shape[1]
 
 
-def shifted_coefficients(lam: float, kernel: MemoryKernel,
-                         gamma: float) -> tuple:
-    """Second-order coefficients of one rate-shifted mode.
+def shifted_coefficients(lam, kernel: MemoryKernel, gamma: float) -> tuple:
+    """Second-order coefficients ``(s, p)`` of rate-shifted modes.
 
-    The shifted mode obeys a'' + (lam + delta - 2 gamma) a' +
+    ``lam`` is one eigenvalue or an array of them (elementwise).  The
+    shifted mode obeys a'' + (lam + delta - 2 gamma) a' +
     (lam (b + delta - gamma) - gamma (delta - gamma)) a = w, with
     w = u' + (delta - gamma) u.
     """
@@ -113,10 +113,7 @@ def build_shifted(spectrum: Spectrum, kernel: MemoryKernel, gamma: float,
     kernel_tilde = MemoryKernel(b=kernel.b, delta=kernel.delta - gamma) \
         if gamma > 0.0 else kernel
 
-    s_diag = np.array([shifted_coefficients(lam, kernel, gamma)[0]
-                       for lam in lams])
-    p_diag = np.array([shifted_coefficients(lam, kernel, gamma)[1]
-                       for lam in lams])
+    s_diag, p_diag = shifted_coefficients(lams, kernel, gamma)
     p = np.zeros((2 * k, 2 * k))
     p[:k, k:] = np.eye(k)
     p[k:, :k] = -np.diag(p_diag)
@@ -156,8 +153,7 @@ def _are_residual(p, q, w, r) -> float:
     return float(np.linalg.norm(res) / max(np.linalg.norm(r), 1e-300))
 
 
-def _stabilizability_check(p, q):
-    eigs = np.linalg.eigvals(p)
+def _stabilizability_check(p, q, eigs):
     ev = pbh_rank_loss(p, q, eigs[eigs.real >= -1e-12])
     if ev is not None:
         raise NotStabilizableError(
@@ -198,7 +194,7 @@ def solve_are(shifted: ShiftedSystem) -> RiccatiSolution:
                 "no actuators and the shifted system has non-decaying modes")
         r = scipy.linalg.solve_continuous_lyapunov(p.T, -w)
     else:
-        _stabilizability_check(p, q)
+        _stabilizability_check(p, q, p_eigs)
         try:
             r = scipy.linalg.solve_continuous_are(p, q, w, np.eye(m))
         except np.linalg.LinAlgError as exc:

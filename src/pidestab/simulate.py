@@ -358,16 +358,13 @@ class Trajectory:
 
 
 def _roots_split(lams, kernel: MemoryKernel):
-    pairs = [modal_roots(lam, kernel) for lam in lams]
-    for pr in pairs:
-        if pr.is_degenerate:
-            raise DegenerateRootError(
-                f"mode with lambda={pr.lam:g} has a (near-)double root; "
-                "use the ODE integrator for this configuration")
-    real = np.array([pr.is_real for pr in pairs])
-    mu_p = np.array([pr.mu_plus for pr in pairs])
-    mu_m = np.array([pr.mu_minus for pr in pairs])
-    return real, mu_p, mu_m
+    roots = modal_roots(lams, kernel)
+    if roots.is_degenerate.any():
+        lam = roots.lam[np.argmax(roots.is_degenerate)]
+        raise DegenerateRootError(
+            f"mode with lambda={lam:g} has a (near-)double root; "
+            "use the ODE integrator for this configuration")
+    return roots.is_real, roots.mu_plus, roots.mu_minus
 
 
 def _check_grid(t_grid) -> np.ndarray:

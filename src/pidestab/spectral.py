@@ -9,13 +9,14 @@ fast enough, and the companion matrices used for synthesis.
 
 Parameters
 ----------
-Throughout this module ``lam`` denotes a single operator eigenvalue and
-``gamma`` a requested exponential decay rate.
+Throughout this module ``lam`` denotes an operator eigenvalue and
+``gamma`` a requested exponential decay rate.  :func:`modal_roots` is the
+one root routine: it takes a single eigenvalue or a whole array of them,
+and every caller in the toolkit passes its whole spectrum in one call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -90,12 +91,13 @@ def growth_bound(kernel: MemoryKernel) -> float:
 
 @dataclass(frozen=True)
 class ModalRootPair:
-    """The two decay roots of one eigenmode.
+    """The two decay roots of one eigenmode, or of many.
 
     The mode with eigenvalue ``lam`` responds like a linear combination
     of ``exp(-mu_plus * t)`` and ``exp(-mu_minus * t)``.  Roots are the
     solutions of ``mu^2 - (lam + delta) mu + lam (b + delta) = 0`` and
-    satisfy ``Re mu_plus >= Re mu_minus > 0``.
+    satisfy ``Re mu_plus >= Re mu_minus > 0``.  When built from an array
+    of eigenvalues every field is an array of the same shape.
     """
 
     lam: float
@@ -105,9 +107,9 @@ class ModalRootPair:
     is_degenerate: bool
 
 
-def modal_roots(lam: float, kernel: MemoryKernel,
+def modal_roots(lam, kernel: MemoryKernel,
                 tol: float = DEGENERACY_TOL) -> ModalRootPair:
-    """Decay roots of the mode with eigenvalue ``lam``.
+    """Decay roots of the modes with eigenvalue(s) ``lam``.
 
     Uses the cancellation-free quadratic formula: the large root comes
     from the stable branch, the small root from the product identity
@@ -117,49 +119,50 @@ def modal_roots(lam: float, kernel: MemoryKernel,
 
     Parameters
     ----------
-    lam : float
-        Operator eigenvalue, ``lam > 0``.
+    lam : float or array_like
+        Operator eigenvalue(s), each ``> 0``.  An array is evaluated
+        elementwise in one pass.
     kernel : MemoryKernel
     tol : float
-        Absolute distance under which the pair is flagged degenerate.
+        Absolute distance under which a pair is flagged degenerate.
 
     Returns
     -------
     ModalRootPair
+        For a scalar ``lam`` the fields are Python ``complex`` and
+        ``bool``; for an array they are arrays of its shape.
     """
-    if not (lam > 0.0 and math.isfinite(lam)):
+    lams = np.asarray(lam, dtype=float)
+    if not np.all((lams > 0.0) & np.isfinite(lams)):
         raise ConfigError("eigenvalue must be positive and finite")
-    s = lam + kernel.delta
-    p = lam * (kernel.b + kernel.delta)
+    s = lams + kernel.delta
+    p = lams * (kernel.b + kernel.delta)
     disc = s * s - 4.0 * p
     # a parameter-exact double root leaves disc at rounding level while
     # the root gap sqrt(disc) inflates to ~1e-8, so degeneracy is judged
     # on the discriminant scale, with the absolute gap as a fallback
-    fused = abs(disc) <= max(tol * tol, 100.0 * np.finfo(float).eps) \
-        * max(s * s, abs(4.0 * p))
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        mu_plus = 0.5 * (s + root)
-        mu_minus = p / mu_plus
-        pair = ModalRootPair(
-            lam=lam,
-            mu_plus=complex(mu_plus),
-            mu_minus=complex(mu_minus),
-            is_real=True,
-            is_degenerate=fused or abs(mu_plus - mu_minus) <= tol,
-        )
-    else:
-        om = 0.5 * math.sqrt(-disc)
-        mu_plus = complex(0.5 * s, om)
-        mu_minus = complex(0.5 * s, -om)
-        pair = ModalRootPair(
-            lam=lam,
-            mu_plus=mu_plus,
-            mu_minus=mu_minus,
-            is_real=False,
-            is_degenerate=fused or 2.0 * om <= tol,
-        )
-    return pair
+    fused = np.abs(disc) <= max(tol * tol, 100.0 * np.finfo(float).eps) \
+        * np.maximum(s * s, np.abs(4.0 * p))
+    real = disc >= 0.0
+    root = np.sqrt(np.abs(disc))
+    # real branch: mu_plus = (s + root) / 2, mu_minus = p / mu_plus;
+    # complex branch: s / 2 +- i root / 2
+    big = 0.5 * (s + root)
+    om = 0.5 * root
+    mu_plus = np.empty(lams.shape, dtype=complex)
+    mu_minus = np.empty(lams.shape, dtype=complex)
+    mu_plus.real = np.where(real, big, 0.5 * s)
+    mu_plus.imag = np.where(real, 0.0, om)
+    mu_minus.real = np.where(real, p / big, 0.5 * s)
+    mu_minus.imag = np.where(real, 0.0, -om)
+    gap = np.where(real, np.abs(mu_plus.real - mu_minus.real), 2.0 * om)
+    degenerate = fused | (gap <= tol)
+    if lams.ndim == 0:
+        return ModalRootPair(lam=lam, mu_plus=complex(mu_plus),
+                             mu_minus=complex(mu_minus), is_real=bool(real),
+                             is_degenerate=bool(degenerate))
+    return ModalRootPair(lam=lams, mu_plus=mu_plus, mu_minus=mu_minus,
+                         is_real=real, is_degenerate=degenerate)
 
 
 @dataclass(frozen=True)
@@ -233,17 +236,17 @@ class Spectrum:
         (default: all modes).  Raises if more modes are requested than
         the spectrum holds.
         """
-        lams, idx = [], []
-        for k, e in enumerate(self.entries):
-            lams.extend([e.lam] * e.multiplicity)
-            idx.extend([k] * e.multiplicity)
+        mult = [e.multiplicity for e in self.entries]
+        total = sum(mult)
         if count is None:
-            count = len(lams)
-        if count > len(lams):
+            count = total
+        if count > total:
             raise ValueError(
-                f"spectrum holds {len(lams)} modes, {count} requested")
-        return (np.array(lams[:count], dtype=float),
-                np.array(idx[:count], dtype=int))
+                f"spectrum holds {total} modes, {count} requested")
+        lams = np.repeat(np.array([e.lam for e in self.entries], dtype=float),
+                         mult)
+        idx = np.repeat(np.arange(len(mult), dtype=int), mult)
+        return lams[:count], idx[:count]
 
     def to_records(self):
         return [
@@ -282,34 +285,31 @@ def check_degeneracy(spectrum: Spectrum, kernel: MemoryKernel,
     the slow root of another.  An empty report is a precondition for
     the synthesis path; this function itself never raises.
     """
-    pairs = [modal_roots(e.lam, kernel, tol) for e in spectrum.entries]
-    report = []
-    for entry, pair in zip(spectrum.entries, pairs):
-        if pair.is_degenerate:
-            report.append(DegeneracyViolation(
-                kind="double_root",
-                labels=(entry.label,),
-                value=pair.mu_plus,
-                separation=abs(pair.mu_plus - pair.mu_minus),
-            ))
-    mu_plus = np.array([pair.mu_plus for pair in pairs], dtype=complex)
-    mu_minus = np.array([pair.mu_minus for pair in pairs], dtype=complex)
+    entries = spectrum.entries
+    roots = modal_roots(np.array([e.lam for e in entries]), kernel, tol)
+    mu_plus, mu_minus = roots.mu_plus, roots.mu_minus
     # NumPy's complex abs can differ from Python's in the last bit, so
-    # the array scan keeps candidates with a margin and each entry is
-    # decided and measured by the scalar test
+    # each entry is decided and measured on Python complex values, and
+    # the array scan below keeps candidates with a margin
+    py_plus, py_minus = mu_plus.tolist(), mu_minus.tolist()
+    report = [DegeneracyViolation(
+        kind="double_root",
+        labels=(entries[i].label,),
+        value=py_plus[i],
+        separation=abs(py_plus[i] - py_minus[i]),
+    ) for i in np.flatnonzero(roots.is_degenerate)]
     limit = (1.0 + 1e-12) * tol * np.maximum(1.0, np.abs(mu_plus))
     # all pairs (i, j), a block of rows at a time to bound the memory
-    for lo in range(0, len(pairs), _SCAN_ROWS):
+    for lo in range(0, len(entries), _SCAN_ROWS):
         sep = np.abs(mu_plus[lo:lo + _SCAN_ROWS, None] - mu_minus[None, :])
         for r, j in zip(*np.nonzero(sep <= limit[lo:lo + _SCAN_ROWS, None])):
             i = lo + r  # row-major: i, then j
-            gap = abs(pairs[i].mu_plus - pairs[j].mu_minus)
-            if i != j and gap <= tol * max(1.0, abs(pairs[i].mu_plus)):
+            gap = abs(py_plus[i] - py_minus[j])
+            if i != j and gap <= tol * max(1.0, abs(py_plus[i])):
                 report.append(DegeneracyViolation(
                     kind="branch_collision",
-                    labels=(spectrum.entries[i].label,
-                            spectrum.entries[j].label),
-                    value=pairs[i].mu_plus,
+                    labels=(entries[i].label, entries[j].label),
+                    value=py_plus[i],
                     separation=gap,
                 ))
     return report
@@ -392,10 +392,9 @@ def partition_spectrum(spectrum: Spectrum, kernel: MemoryKernel,
                 "degenerate root structure; synthesis preconditions fail",
                 report=report)
 
-    lams, entry_idx = spectrum.expanded()
-    pairs = [modal_roots(e.lam, kernel, tol) for e in spectrum.entries]
-    re_plus = np.array([pairs[k].mu_plus.real for k in entry_idx])
-    re_minus = np.array([pairs[k].mu_minus.real for k in entry_idx])
+    lams, _ = spectrum.expanded()
+    roots = modal_roots(lams, kernel, tol)
+    re_plus, re_minus = roots.mu_plus.real, roots.mu_minus.real
 
     def last_index_at_or_below(values) -> int:
         hits = np.nonzero(values <= gamma)[0]

@@ -289,9 +289,8 @@ def transform_and_group(companion: CompanionSystem,
             q_bar=np.zeros((0, companion.m_actuators), complex),
             clusters=(), slices=(), semisimple=True, condition=1.0)
 
-    pairs = [modal_roots(lam, companion.kernel) for lam in companion.lambdas]
-    mu_p = np.array([pr.mu_plus for pr in pairs])
-    mu_m = np.array([pr.mu_minus for pr in pairs])
+    roots = modal_roots(companion.lambdas, companion.kernel)
+    mu_p, mu_m = roots.mu_plus, roots.mu_minus
 
     sizes = None
     if partition is not None and partition.n_total == n:
@@ -306,9 +305,10 @@ def transform_and_group(companion: CompanionSystem,
                 sizes.append(1)
         sizes = tuple(sizes)
 
-    fused = any(pr.is_degenerate for pr in pairs)
-    analytic_ok = not fused and all(
-        abs(pr.mu_plus - pr.mu_minus) > collision_tol for pr in pairs)
+    fused = bool(roots.is_degenerate.any())
+    # each root gap is real or purely imaginary, so np.abs is exact here
+    analytic_ok = not fused and bool(
+        np.all(np.abs(mu_p - mu_m) > collision_tol))
     if analytic_ok:
         offsets = np.cumsum((0,) + sizes[:-1])
         values = []

@@ -161,10 +161,84 @@ def test_small_lambda_limit():
 
 
 def test_nonpositive_lambda_rejected():
+    k = MemoryKernel(b=1.0, delta=1.0)
     with pytest.raises(ConfigError):
-        modal_roots(0.0, MemoryKernel(b=1.0, delta=1.0))
+        modal_roots(0.0, k)
     with pytest.raises(ConfigError):
-        modal_roots(-2.0, MemoryKernel(b=1.0, delta=1.0))
+        modal_roots(-2.0, k)
+    # one bad entry rejects the whole array
+    for bad in (0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            modal_roots(np.array([1.0, 4.0, bad, 9.0]), k)
+
+
+def test_scalar_input_returns_python_scalars():
+    k = MemoryKernel(b=1.0, delta=4.0)
+    for lam in (1.0, 4.0, np.float64(1.0)):
+        pair = modal_roots(lam, k)
+        assert type(pair.mu_plus) is complex
+        assert type(pair.mu_minus) is complex
+        assert type(pair.is_real) is bool
+        assert type(pair.is_degenerate) is bool
+
+
+def _scalar_roots_reference(lam, kernel, tol):
+    """The one-mode formula the array routine replaced, kept as oracle."""
+    s = lam + kernel.delta
+    p = lam * (kernel.b + kernel.delta)
+    disc = s * s - 4.0 * p
+    fused = abs(disc) <= max(tol * tol, 100.0 * np.finfo(float).eps) \
+        * max(s * s, abs(4.0 * p))
+    if disc >= 0.0:
+        root = math.sqrt(disc)
+        mu_plus = 0.5 * (s + root)
+        mu_minus = p / mu_plus
+        return (complex(mu_plus), complex(mu_minus), True,
+                bool(fused or abs(mu_plus - mu_minus) <= tol))
+    om = 0.5 * math.sqrt(-disc)
+    return (complex(0.5 * s, om), complex(0.5 * s, -om), False,
+            bool(fused or 2.0 * om <= tol))
+
+
+def _bits(z):
+    """repr keeps the sign of a zero that == would not tell apart."""
+    return repr(complex(z).real), repr(complex(z).imag)
+
+
+def test_array_roots_match_scalar_formula():
+    """Random spectra, memoryless kernels, complex branches and planted
+    double roots with their floating-point neighbours: the array call
+    gives the scalar formula's roots and flags bit for bit."""
+    rng = np.random.default_rng(606)
+    complex_seen = degenerate_seen = 0
+    for trial in range(120):
+        b = 0.0 if trial % 4 == 0 else float(rng.uniform(0.05, 5.0))
+        delta = float(rng.uniform(0.05, 5.0))
+        kernel = MemoryKernel(b=b, delta=delta)
+        lams = list(10.0 ** rng.uniform(-4, 6, int(rng.integers(1, 60))))
+        centre, half = 2 * b + delta, 2.0 * math.sqrt(b * (b + delta))
+        for double in (centre - half, centre + half):
+            if double > 0.0:
+                lams += [double, np.nextafter(double, 0.0),
+                         np.nextafter(double, math.inf)]
+        tol = float(rng.choice([1e-9, 1e-3, 0.05]))
+        lams = np.array(lams)
+        got = modal_roots(lams, kernel, tol)
+        assert got.mu_plus.shape == got.is_degenerate.shape == lams.shape
+        for i, lam in enumerate(lams):
+            mu_p, mu_m, real, degenerate = _scalar_roots_reference(
+                float(lam), kernel, tol)
+            assert _bits(got.mu_plus[i]) == _bits(mu_p)
+            assert _bits(got.mu_minus[i]) == _bits(mu_m)
+            assert bool(got.is_real[i]) is real
+            assert bool(got.is_degenerate[i]) is degenerate
+            pair = modal_roots(float(lam), kernel, tol)
+            assert (_bits(pair.mu_plus), _bits(pair.mu_minus),
+                    pair.is_real, pair.is_degenerate) == \
+                (_bits(mu_p), _bits(mu_m), real, degenerate)
+            complex_seen += not real
+            degenerate_seen += degenerate
+    assert complex_seen > 100 and degenerate_seen > 50
 
 
 # ---------------------------------------------------------------------------

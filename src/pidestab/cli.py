@@ -456,6 +456,8 @@ def cmd_synthesize(scenario: Scenario) -> dict:
         "riccati": {
             "truncation_k": solution.truncation_k,
             "residual": solution.residual,
+            "raw_residual": solution.raw_residual,
+            "newton_steps": solution.newton_steps,
             "slowest_closed_loop_real_part":
                 float(solution.closed_loop_eigs[0].real)
                 if solution.closed_loop_eigs.size else None,

@@ -5,7 +5,9 @@ the rescaled modal system keeps the same structure with kernel decay
 delta - gamma and a per-mode second-order form whose companion matrix
 has every eigenvalue shifted by exactly +gamma.  A standard LQR design
 on the truncated shifted system then yields a feedback whose closed
-loop, mapped back, decays faster than gamma.
+loop, mapped back, decays faster than gamma.  Its Riccati equation is
+solved by the ordered real Schur form of the balanced Hamiltonian
+(Laub 1979).
 
 The quadratic state cost weights positions by lambda^{2 alpha}, so the
 value function controls the weighted integral of |A^alpha y| and the
@@ -133,7 +135,12 @@ def build_shifted(spectrum: Spectrum, kernel: MemoryKernel, gamma: float,
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """Stabilizing solution of the shifted-system Riccati equation."""
+    """Stabilizing solution of the shifted-system Riccati equation.
+
+    ``raw_residual`` is the relative residual before Newton polishing
+    and ``newton_steps`` the number of accepted Newton steps; both are
+    ``None`` for a solution rebuilt from a controller file.
+    """
 
     r_matrix: np.ndarray
     gain: np.ndarray
@@ -142,6 +149,8 @@ class RiccatiSolution:
     gamma: float
     closed_loop_eigs: np.ndarray
     system: ShiftedSystem
+    raw_residual: float | None = None
+    newton_steps: int | None = None
 
     @property
     def truncation_k(self) -> int:
@@ -153,23 +162,72 @@ def _are_residual(p, q, w, r) -> float:
     return float(np.linalg.norm(res) / max(np.linalg.norm(r), 1e-300))
 
 
-def _stabilizability_check(p, q, eigs):
+def _failure(p, q, reason: str, u11=None,
+             raw_residual: float | None = None) -> SolverFailureError:
+    """Typed error for a solve that failed a check.
+
+    A PBH rank loss raises ``NotStabilizableError`` naming the mode;
+    otherwise the returned error reports the conditioning of the
+    stable-subspace basis and the residual before Newton polishing.
+    A solve that passes every check proves stabilizability, so the PBH
+    test runs here only.
+    """
+    eigs = np.linalg.eigvals(p)
     ev = pbh_rank_loss(p, q, eigs[eigs.real >= -1e-12])
     if ev is not None:
         raise NotStabilizableError(
             f"mode at eigenvalue {ev:.6g} cannot be moved by the "
             "actuators; the shifted system is not stabilizable")
+    notes = []
+    if u11 is not None:
+        notes.append(f"cond(U11) {np.linalg.cond(u11):.3e}")
+    if raw_residual is not None:
+        notes.append(f"raw residual {raw_residual:.3e} before Newton")
+    return SolverFailureError(
+        reason + (f" ({', '.join(notes)})" if notes else ""))
+
+
+def _stable_subspace(p, q, w) -> tuple:
+    """Stable invariant subspace of the balanced Hamiltonian.
+
+    Scales H = [[P, -Q Q'], [-W, -P']] by diag(D, D^-1), with D the
+    power-of-two diagonal that balances |H| off its diagonal (the
+    symplectic balancing of Benner), and sorts its real Schur form to
+    the open left half-plane.  Returns (U11, U21, sdim, D): the leading
+    ``sdim`` Schur vectors span the stable subspace, and the solution
+    of the unbalanced equation is D U21 U11^-1 D.
+    """
+    dim = p.shape[0]
+    ham = np.block([[p, -(q @ q.T)], [-w, -p.T]])
+    mag = np.abs(ham)
+    np.fill_diagonal(mag, 0.0)
+    _, (sca, _) = scipy.linalg.matrix_balance(mag, permute=False,
+                                              separate=True)
+    log_sca = np.log2(sca)
+    d = 2.0 ** np.round((log_sca[dim:] - log_sca[:dim]) / 2.0)
+    scale = np.concatenate([d, 1.0 / d])
+    ham *= scale[:, None] / scale
+    _, z, sdim = scipy.linalg.schur(ham, output="real", sort="lhp",
+                                    overwrite_a=True)
+    return z[:dim, :dim], z[dim:, :dim], sdim, d
 
 
 def solve_are(shifted: ShiftedSystem) -> RiccatiSolution:
     """Stabilizing Riccati solution, gain and closed-loop spectrum.
 
-    Solves P~' R + R P~ - R Q~ Q~' R + W = 0 with unit input cost by the
-    dense invariant-subspace method, then polishes with Newton steps
-    (each a Lyapunov solve) while the relative residual exceeds 1e-8.
-    With no actuators the equation degenerates to a Lyapunov equation,
-    which only has the required interpretation when the shifted system
-    is already stable.
+    Solves P~' R + R P~ - R Q~ Q~' R + W = 0 with unit input cost by
+    Laub's Schur method: the Hamiltonian is balanced by a symplectic
+    diagonal scaling, its real Schur form is sorted to the open left
+    half-plane, and R = U21 U11^-1 is read off the stable block, then
+    scaled back.  Newton steps (each a Lyapunov solve) polish R while
+    the relative residual exceeds 1e-8; R must then be positive
+    semidefinite with a stable closed loop.  The PBH stabilizability
+    test runs only when one of these checks fails, so that a rank loss
+    is reported as ``NotStabilizableError``; any other failure raises
+    ``SolverFailureError`` with the condition number of U11 and the
+    residual before Newton.  With no actuators the equation degenerates
+    to a Lyapunov equation, which only has the required interpretation
+    when the shifted system is already stable.
     """
     p = shifted.p_2k_shifted
     q = shifted.q_2km
@@ -181,12 +239,15 @@ def solve_are(shifted: ShiftedSystem) -> RiccatiSolution:
         return RiccatiSolution(
             r_matrix=np.zeros((0, 0)), gain=np.zeros((m, 0)), residual=0.0,
             alpha=shifted.alpha, gamma=shifted.gamma,
-            closed_loop_eigs=np.zeros(0, complex), system=shifted)
+            closed_loop_eigs=np.zeros(0, complex), system=shifted,
+            raw_residual=0.0, newton_steps=0)
 
-    p_eigs = np.linalg.eigvals(p)
-    stable_open = bool(np.all(p_eigs.real < 0.0))
+    zero_weight = np.linalg.norm(w) == 0.0
+    stable_open = (m == 0 or zero_weight) and \
+        bool(np.all(np.linalg.eigvals(p).real < 0.0))
 
-    if np.linalg.norm(w) == 0.0 and stable_open:
+    u11 = None
+    if zero_weight and stable_open:
         r = np.zeros((dim, dim))
     elif m == 0:
         if not stable_open:
@@ -194,18 +255,21 @@ def solve_are(shifted: ShiftedSystem) -> RiccatiSolution:
                 "no actuators and the shifted system has non-decaying modes")
         r = scipy.linalg.solve_continuous_lyapunov(p.T, -w)
     else:
-        _stabilizability_check(p, q, p_eigs)
+        u11, u21, sdim, d = _stable_subspace(p, q, w)
+        if sdim < dim:
+            raise _failure(
+                p, q, f"only {sdim} of {dim} Hamiltonian eigenvalues lie "
+                "in the open left half-plane; no stabilizing solution")
         try:
-            r = scipy.linalg.solve_continuous_are(p, q, w, np.eye(m))
+            r = np.linalg.solve(u11.T, u21.T).T
         except np.linalg.LinAlgError as exc:
-            raise NotStabilizableError(
-                f"Riccati solve failed: {exc}") from exc
-        except ValueError as exc:
-            raise SolverFailureError(
-                f"Riccati solver rejected the problem: {exc}") from exc
+            raise _failure(p, q, "stable-subspace basis U11 is singular: "
+                           f"{exc}", u11) from exc
+        r *= d[:, None] * d
 
     r = 0.5 * (r + r.T)
-    residual = _are_residual(p, q, w, r)
+    residual = raw_residual = _are_residual(p, q, w, r)
+    steps = 0
     for _ in range(15):
         if residual <= RESIDUAL_TOL:
             break
@@ -214,33 +278,35 @@ def solve_are(shifted: ShiftedSystem) -> RiccatiSolution:
         try:
             r_new = scipy.linalg.solve_continuous_lyapunov(a_cl.T, rhs)
         except np.linalg.LinAlgError as exc:
-            raise SolverFailureError(
-                f"Newton refinement failed: {exc}") from exc
+            raise _failure(p, q, f"Newton refinement failed: {exc}", u11,
+                           raw_residual) from exc
         r_new = 0.5 * (r_new + r_new.T)
         new_residual = _are_residual(p, q, w, r_new)
         if not new_residual < residual:
             break
         r, residual = r_new, new_residual
+        steps += 1
     if residual > RESIDUAL_TOL:
-        raise SolverFailureError(
-            f"Riccati residual {residual:.3e} above {RESIDUAL_TOL:.1e} "
-            "after refinement")
+        raise _failure(p, q, f"Riccati residual {residual:.3e} above "
+                       f"{RESIDUAL_TOL:.1e} after refinement", u11,
+                       raw_residual)
 
     scale = float(np.linalg.norm(r))
     min_eig = float(np.linalg.eigvalsh(r)[0]) if dim else 0.0
     if min_eig < -1e-10 * max(scale, 1.0):
-        raise SolverFailureError(
-            f"Riccati solution indefinite (min eigenvalue {min_eig:.3e})")
+        raise _failure(p, q, "Riccati solution indefinite (min eigenvalue "
+                       f"{min_eig:.3e})", u11, raw_residual)
 
     gain = q.T @ r
     cl_eigs = np.linalg.eigvals(p - q @ gain)
     cl_eigs = cl_eigs[np.argsort(-cl_eigs.real)]
     if cl_eigs.size and cl_eigs[0].real >= 1e-10:
-        raise SolverFailureError(
-            f"closed loop not stable: leading eigenvalue {cl_eigs[0]:.6g}")
+        raise _failure(p, q, "closed loop not stable: leading eigenvalue "
+                       f"{cl_eigs[0]:.6g}", u11, raw_residual)
     return RiccatiSolution(r_matrix=r, gain=gain, residual=residual,
                            alpha=shifted.alpha, gamma=shifted.gamma,
-                           closed_loop_eigs=cl_eigs, system=shifted)
+                           closed_loop_eigs=cl_eigs, system=shifted,
+                           raw_residual=raw_residual, newton_steps=steps)
 
 
 def feedback_gain_to_control(solution: RiccatiSolution, state,

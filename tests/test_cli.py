@@ -184,6 +184,10 @@ def test_synthesize_headline_controller(tmp_path):
     assert doc["truncation_k"] == 16
     assert doc["gamma"] == 2.0
     assert float(doc["residual"]) <= 1e-8
+    assert "raw_residual" not in doc and "newton_steps" not in doc
+    riccati = read_json(out / "synthesis.json")["riccati"]
+    assert riccati["raw_residual"] >= riccati["residual"]
+    assert riccati["newton_steps"] == 0
 
 
 def test_synthesize_defective_scenario_takes_jordan_path(tmp_path):

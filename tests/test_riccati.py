@@ -8,11 +8,14 @@ against a cost integral computed by a solver-independent route.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
+import pidestab.riccati as riccati
 from pidestab import (
     ActuatorSet,
     AlphaRangeError,
@@ -23,6 +26,7 @@ from pidestab import (
     MemoryKernel,
     NotStabilizableError,
     ShiftedSystem,
+    SolverFailureError,
     Spectrum,
     build_shifted,
     certify_decay,
@@ -38,7 +42,8 @@ from pidestab import (
     simulate_ode,
     solve_are,
 )
-from pidestab.fluids import indicator_actuators_1d
+from pidestab.fluids import indicator_actuators_1d, model_spectrum
+from pidestab.synthesis import pbh_rank_loss
 
 HEADLINE_RATE = 2.0
 OPEN_LOOP_RATE = (5.0 - math.sqrt(5.0)) / 2.0
@@ -249,6 +254,79 @@ def test_solve_are_unreachable_unstable_mode():
     shifted = build_shifted(spectrum, kernel, 2.0, acts, truncation_k=1)
     with pytest.raises(NotStabilizableError):
         solve_are(shifted)
+
+
+def test_solve_are_imaginary_axis_mode_not_stabilizable():
+    # x' = 0 with no input reach: the Hamiltonian has its eigenvalues on
+    # the imaginary axis, so its ordered Schur form has no stable block
+    with pytest.raises(NotStabilizableError, match="eigenvalue 0"):
+        solve_are(synthetic_system([[0.0]], [[0.0]], [[1.0]]))
+
+
+def test_solve_are_two_actuators_unreachable_unstable_mode():
+    # both actuators vanish on mode 1, the one slow mode at gamma=2,
+    # whose shifted eigenvalue is 2 - (5 - sqrt 5)/2 = 0.618
+    spectrum = dirichlet_spectrum(4)
+    kernel = MemoryKernel(b=1.0, delta=4.0)
+    c = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    acts = ActuatorSet(count=2, modal_coefficients=c)
+    shifted = build_shifted(spectrum, kernel, 2.0, acts, truncation_k=4)
+    with pytest.raises(NotStabilizableError, match="0.618"):
+        solve_are(shifted)
+
+
+def test_solvable_design_runs_no_pbh_test(monkeypatch):
+    # a solve that passes the residual, semidefiniteness and closed-loop
+    # checks has proven stabilizability: the PBH SVDs run on failure only
+    calls = []
+
+    def counting(p, q, eigenvalues):
+        calls.append(len(eigenvalues))
+        return pbh_rank_loss(p, q, eigenvalues)
+
+    monkeypatch.setattr(riccati, "pbh_rank_loss", counting)
+    headline_solution()
+    assert calls == []
+    with pytest.raises(NotStabilizableError):
+        solve_are(synthetic_system([[0.0]], [[0.0]], [[1.0]]))
+    assert calls == [1]
+
+
+def dirichlet_design(scale, n_modes, gamma, truncation_k=None):
+    spectrum = model_spectrum("dirichlet_1d", scale / math.pi ** 2, n_modes)
+    kernel = MemoryKernel(b=1.0, delta=4.0)
+    acts = default_actuators(partition_spectrum(spectrum, kernel, gamma))
+    return build_shifted(spectrum, kernel, gamma, acts, truncation_k)
+
+
+def test_solve_are_ill_posed_reports_conditioning():
+    # N=10 slow modes at K=20: the stable-subspace basis is singular in
+    # double precision, and the error gives its condition number
+    shifted = dirichlet_design(0.02, 128, 3.0, truncation_k=20)
+    with pytest.raises(SolverFailureError) as info:
+        solve_are(shifted)
+    message = str(info.value)
+    assert float(re.search(r"cond\(U11\) (\S+),", message)[1]) >= 1e14
+    assert re.search(r"raw residual \S+ before Newton", message)
+
+
+@pytest.mark.parametrize("scale,n_modes,gamma,truncation_k", [
+    (1.0, 128, 2.0, 16), (1.0, 128, 2.0, 64), (1.0, 128, 2.0, 128),
+    (0.05, 64, 3.0, None), (0.1, 64, 3.0, None), (0.07, 64, 3.5, None)])
+def test_solve_are_matches_scipy_qz_oracle(scale, n_modes, gamma,
+                                           truncation_k):
+    # scipy's QZ route on the extended pencil is the reference; where the
+    # stable-subspace basis is ill-conditioned both routes lose digits
+    # (largest gap seen 2.7e-5, at cond(U11) 6.2e9)
+    shifted = dirichlet_design(scale, n_modes, gamma, truncation_k)
+    p, q, w = shifted.p_2k_shifted, shifted.q_2km, shifted.weight
+    sol = solve_are(shifted)
+    assert sol.residual <= 1e-8
+    assert sol.closed_loop_eigs[0].real < 0.0
+    ref = scipy.linalg.solve_continuous_are(p, q, w, np.eye(q.shape[1]))
+    gap = np.linalg.norm(sol.r_matrix - ref) / np.linalg.norm(ref)
+    u11 = riccati._stable_subspace(p, q, w)[0]
+    assert gap <= (1e-9 if np.linalg.cond(u11) < 1e6 else 1e-4)
 
 
 def test_closed_loop_eigs_sorted_and_consistent():

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import quadrature
 from .exceptions import (
     AlphaRangeError,
     DecayViolationError,
@@ -378,9 +379,11 @@ class ClosedLoopRun:
 
     States are sampled columns of the autonomous system
     (xi, v~, z~)' = A (xi, v~, z~); mapping back multiplies by
-    e^{-gamma t}.  Serves as the second route to the closed loop,
-    independent of ``simulate_ode``: it works in the shifted companion
-    frame on the design modes alone.
+    e^{-gamma t}.  Serves as the second route to the closed loop beside
+    ``simulate_ode``: it works in the shifted companion frame on the
+    design modes alone, with its own generator and its own exponential.
+    The two routes share only ``quadrature.scan``, which runs the step
+    map of each and is tested against plain loops.
     """
 
     grid: np.ndarray
@@ -431,7 +434,13 @@ def embed_initial(solution: RiccatiSolution, y0) -> np.ndarray:
 
 def simulate_closed_loop(solution: RiccatiSolution, y0, t_max: float, *,
                          samples: int = 2001) -> ClosedLoopRun:
-    """Propagate the autonomous shifted closed loop on a uniform grid."""
+    """Propagate the autonomous shifted closed loop on a uniform grid.
+
+    One exponential of the shifted generator over a grid cell is the
+    step map; the samples are its scan (``quadrature.scan``) from
+    ``(xi0, 0)``.  Frame, generator and exponential are this route's own;
+    only the scan is shared with ``simulate_ode``.
+    """
     sys = solution.system
     k = sys.truncation_k
     m = sys.m_actuators
@@ -449,13 +458,9 @@ def simulate_closed_loop(solution: RiccatiSolution, y0, t_max: float, *,
     grid = np.linspace(0.0, t_max, samples)
     h = grid[1] - grid[0] if samples > 1 else 0.0
     step = scipy.linalg.expm(a * h)
-    xi0 = embed_initial(solution, y0)
-    state = np.concatenate([xi0, np.zeros(m + k)])
-    out = np.empty((samples, dim))
-    for i in range(samples):
-        out[i] = state
-        if i + 1 < samples:
-            state = step @ state
+    start = np.zeros((samples, dim))
+    start[:1, :2 * k] = embed_initial(solution, y0)
+    out = quadrature.scan(step, start)
     xi = out[:, :2 * k]
     v_tilde = out[:, 2 * k:2 * k + m]
     z_tilde = out[:, 2 * k + m:]

@@ -269,24 +269,6 @@ def attach_actuator_preimage(forcing: ForcingField, actuators, n_modes: int, *,
 # trajectories
 
 
-@dataclass(frozen=True, eq=False)
-class ModalState:
-    """Modal snapshot: coefficients, memory variables, time stamp."""
-
-    alpha: np.ndarray
-    z: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float).reshape(-1)
-        z = np.asarray(self.z, dtype=float).reshape(-1)
-        if alpha.size != z.size:
-            raise DimensionMismatchError(
-                f"alpha has {alpha.size} modes, z has {z.size}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "z", z)
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Time-sampled modal run with derived norms.
@@ -324,12 +306,6 @@ class Trajectory:
     @property
     def n_modes(self) -> int:
         return self.lambdas.size
-
-    @property
-    def states(self) -> tuple:
-        return tuple(ModalState(alpha=self.alpha[i], z=self.z[i],
-                                time=float(self.grid[i]))
-                     for i in range(self.n_samples))
 
     def sobolev_norm(self, power: float) -> np.ndarray:
         """Per-sample weighted norm (sum lam^{2 power} alpha^2)^{1/2}."""
@@ -378,14 +354,14 @@ def _check_grid(t_grid) -> np.ndarray:
 
 def simulate_exact(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
                    t_grid, *, forcing: ForcingField | None = None,
-                   nodes: int = quadrature.DEFAULT_NODES,
                    frac_alpha: float = 0.5) -> Trajectory:
     """Evaluate the closed-form modal solution on a time grid.
 
     Per mode, the homogeneous part combines the two root exponentials
     (or the damped sinusoid for complex pairs) and the source enters
     through a convolution with ``g = u' + delta u`` (plus the same
-    combination of any forcing).  Convolution values are carried across
+    combination of any forcing).  The source is evaluated once, on the
+    Gauss nodes of every cell; convolution values are carried across
     grid cells by exact exponential/rotation updates, so cost is linear
     in the number of samples and no accuracy is lost on long runs.
 
@@ -434,6 +410,10 @@ def simulate_exact(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
             + ((ap + sig * a0) / om)[:, None] * np.sin(phase))
 
     # particular part: convolution states updated cell by cell
+    pts, wts = quadrature.cell_nodes(grid[:-1, None], grid[1:, None])
+    # one call on the nodes of every cell; a lone sample has no cell
+    g_all = (g_of(pts.reshape(-1)).reshape(k, s - 1, quadrature.NODES)
+             if s > 1 else None)
     part = np.zeros((k, s))
     i_p = np.zeros(int(real.sum()))
     i_m = np.zeros(int(real.sum()))
@@ -444,23 +424,20 @@ def simulate_exact(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
     sig = mu_p[comp].real
     om = mu_p[comp].imag
     for c in range(s - 1):
-        t0, t1 = grid[c], grid[c + 1]
-        h = t1 - t0
-        pts, wts = quadrature.cell_nodes(t0, t1, nodes)
-        g = g_of(pts)
+        t1 = grid[c + 1]
+        h = t1 - grid[c]
+        g, tail, wc = g_all[:, c], t1 - pts[c], wts[c]
         if i_p.size:
-            tail = t1 - pts
             i_p = np.exp(-mp * h) * i_p + (np.exp(-np.outer(mp, tail))
-                                           * g[real]) @ wts
+                                           * g[real]) @ wc
             i_m = np.exp(-mm * h) * i_m + (np.exp(-np.outer(mm, tail))
-                                           * g[real]) @ wts
+                                           * g[real]) @ wc
             part[real, c + 1] = (i_m - i_p) / (mp - mm)
         if j_c.size:
-            tail = t1 - pts
             decay = np.exp(-np.outer(sig, tail))
             ang = np.outer(om, tail)
-            loc_c = (decay * np.cos(ang) * g[comp]) @ wts
-            loc_s = (decay * np.sin(ang) * g[comp]) @ wts
+            loc_c = (decay * np.cos(ang) * g[comp]) @ wc
+            loc_s = (decay * np.sin(ang) * g[comp]) @ wc
             ch, sh, dh = np.cos(om * h), np.sin(om * h), np.exp(-sig * h)
             j_c, j_s = (dh * (ch * j_c - sh * j_s) + loc_c,
                         dh * (sh * j_c + ch * j_s) + loc_s)
@@ -472,13 +449,11 @@ def simulate_exact(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
     # memory variables by the same exponential update on splined alpha
     z = np.zeros((s, k))
     if s > 1:
-        spline = CubicSpline(grid, alpha, axis=0)
+        vals = CubicSpline(grid, alpha, axis=0)(pts)    # (cells, nodes, k)
+        fac = np.exp(-delta * (grid[1:, None] - pts)) * wts
         for c in range(s - 1):
-            t0, t1 = grid[c], grid[c + 1]
-            pts, wts = quadrature.cell_nodes(t0, t1, nodes)
-            vals = spline(pts)                      # (nodes, k)
-            fac = np.exp(-delta * (t1 - pts)) * wts
-            z[c + 1] = math.exp(-delta * (t1 - t0)) * z[c] + fac @ vals
+            z[c + 1] = (math.exp(-delta * (grid[c + 1] - grid[c])) * z[c]
+                        + fac[c] @ vals[c])
     controls = control.value(grid).T
     return Trajectory(grid=grid, alpha=alpha, z=z, lambdas=lams,
                       controls=controls,
@@ -527,7 +502,9 @@ def simulate_ode(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
 
     Each output cell of width h is crossed by the exact step map
     e^{A h}, computed once per distinct width (widths that differ only
-    by rounding share one map).  Open-loop signals and forcing are
+    by rounding share one map); each run of consecutive cells of one
+    width is one scan (``quadrature.scan``) of its map, so a uniform
+    grid is a single scan.  Open-loop signals and forcing are
     evaluated on the Gauss nodes of every cell in one call, and the
     polynomial through those values is convolved with e^{A (h - tau)}
     exactly: the same exponential that gives the step map carries a
@@ -569,7 +546,7 @@ def simulate_ode(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
     x[0] = np.concatenate([y0, np.zeros(k), aux0])
     if s > 1:
         labels, widths = _width_classes(grid)
-        q = quadrature.DEFAULT_NODES if signals else 0
+        q = quadrature.NODES if signals else 0
         gen = np.zeros((dim + q * k, dim + q * k))
         if signals:
             # in cell time s = (t - t0) / h the input is the node
@@ -588,18 +565,25 @@ def simulate_ode(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
         if signals:
             pts, _ = quadrature.cell_nodes(grid[:-1, None], grid[1:, None])
             sig = sum(f(pts.reshape(-1)) for f in signals)
-            coef = np.einsum("ij,kcj->cik", quadrature.taylor_interpolation(),
+            coef = np.einsum("ij,kcj->cik", quadrature.TAYLOR,
                              sig.reshape(k, s - 1, q)).reshape(s - 1, q * k)
             for cls, (h, m) in enumerate(zip(widths, maps)):
                 cells = labels == cls
                 drive[cells] = h * coef[cells] @ m[:, dim:].T
+        # cells lo .. hi-1 of one width class form one scan from x[lo]
+        bounds = np.r_[0, np.flatnonzero(np.diff(labels)) + 1, s - 1]
         guard = (1e6 * (1.0 + float(np.linalg.norm(y0)))) ** 2
-        for c in range(s - 1):
-            x[c + 1] = steps[labels[c]] @ x[c] + drive[c]
-            if not x[c + 1] @ x[c + 1] <= guard:
-                raise StepInstabilityError(
-                    f"trajectory diverges: state norm above "
-                    f"1e6 (1 + |y0|) at t={grid[c + 1]:.6g}")
+        # a diverging loop may overflow; the guard below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                step = steps[labels[lo]]
+                drive[lo] += step @ x[lo]
+                x[lo + 1:hi + 1] = quadrature.scan(step, drive[lo:hi])
+            bad = ~(np.einsum("ij,ij->i", x[1:], x[1:]) <= guard)
+        if bad.any():
+            raise StepInstabilityError(
+                f"trajectory diverges: state norm above "
+                f"1e6 (1 + |y0|) at t={grid[np.argmax(bad) + 1]:.6g}")
 
     controls = x @ u_mat.T if linear else control.value(grid).T
     return Trajectory(grid=grid, alpha=x[:, :k], z=x[:, k:2 * k],
@@ -757,10 +741,7 @@ def fit_decay_rate(trajectory: Trajectory, norm_selector="y",
     the sentinel rate +inf is returned (a trajectory that reaches exact
     zero decays faster than any exponential).
     """
-    if callable(norm_selector):
-        values = np.asarray(norm_selector(trajectory), dtype=float)
-    else:
-        values = trajectory.norms[norm_selector]
+    values = trajectory.norms[norm_selector]
     grid = trajectory.grid
     if window is None:
         window = (grid[-1] / 2.0, grid[-1])

@@ -195,11 +195,11 @@ class Spectrum:
             raise ValueError("spectrum labels must be unique")
 
     @classmethod
-    def from_values(cls, values, multiplicities=None, labels=None,
-                    merge_tol: float = MERGE_TOL) -> "Spectrum":
+    def from_values(cls, values, multiplicities=None,
+                    labels=None) -> "Spectrum":
         """Normalize raw input: sort ascending and merge near-equal values.
 
-        Values within relative ``merge_tol`` of each other collapse into
+        Values within relative ``MERGE_TOL`` of each other collapse into
         one entry whose multiplicity is the sum and whose label joins the
         original labels with ``|``.
         """
@@ -217,7 +217,7 @@ class Spectrum:
         merged = []
         for i in order:
             lam, mult, label = values[i], int(multiplicities[i]), str(labels[i])
-            if merged and abs(lam - merged[-1][0]) <= merge_tol * max(abs(lam), abs(merged[-1][0])):
+            if merged and abs(lam - merged[-1][0]) <= MERGE_TOL * max(abs(lam), abs(merged[-1][0])):
                 prev = merged[-1]
                 merged[-1] = (prev[0], prev[1] + mult, prev[2] + "|" + label)
             else:

@@ -8,10 +8,11 @@ rate.  Two independent certificates are computed for steerability — the
 group-slice rank conditions in transformed coordinates, and a Gramian
 eigenvalue test — and the steering control itself is the classical
 minimum-energy formula.  Gramians are exact (one Lyapunov solve and one
-matrix exponential each); the steering control is sampled with powers
-of one cell exponential, the physical actuator amplitudes follow from it
-in closed form, and the exact cell map of the controlled system verifies
-that the control reaches zero, so no quadrature enters the steering.
+matrix exponential each); the steering control is sampled by the scan
+(``quadrature.scan``) of one cell exponential, the physical actuator
+amplitudes follow from it in closed form, and the scan of the exact cell
+map of the controlled system verifies that the control reaches zero, so
+no quadrature rule enters the steering.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .spectral import (
 
 RANK_RTOL = 1e-10
 COND_LIMIT = 1e12
+COLLISION_TOL = 1e-9  # closest distinct roots the closed-form transform keeps
+KALMAN_HORIZON = 1.0  # Gramian horizon of the steerability cross-check
+KALMAN_RTOL = 1e-12  # smallest accepted Gramian eigenvalue, relative
 TERMINAL_LIMIT = 1e-6  # largest accepted |x(T)| / |x0| of a steering control
 CONTROL_SAMPLES = 1025  # output samples of a steering control
 
@@ -245,8 +249,8 @@ def _slices_for(q_bar: np.ndarray, clusters) -> tuple:
     return tuple(adj[:, c.start:c.start + c.size] for c in clusters)
 
 
-def transform_matrix_system(p, q, *, cluster_tol: float = 1e-9,
-                            cond_limit: float = COND_LIMIT) -> TransformedSystem:
+def transform_matrix_system(p, q, *,
+                            cluster_tol: float = 1e-9) -> TransformedSystem:
     """Block-diagonalize an arbitrary square system (chain form if needed)."""
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
@@ -255,9 +259,9 @@ def transform_matrix_system(p, q, *, cluster_tol: float = 1e-9,
         cond = float(np.linalg.cond(v))
     else:
         cond = 1.0
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise IllConditionedTransformError(
-            f"transform condition number {cond:.3e} exceeds {cond_limit:.1e}")
+            f"transform condition number {cond:.3e} exceeds {COND_LIMIT:.1e}")
     r = np.linalg.solve(v, np.eye(v.shape[0], dtype=complex)) if v.size else v
     if semisimple:
         block = np.diag(np.diag(block))
@@ -269,9 +273,8 @@ def transform_matrix_system(p, q, *, cluster_tol: float = 1e-9,
 
 
 def transform_and_group(companion: CompanionSystem,
-                        partition: UnstablePartition | None = None, *,
-                        collision_tol: float = 1e-9,
-                        cond_limit: float = COND_LIMIT) -> TransformedSystem:
+                        partition: UnstablePartition | None = None
+                        ) -> TransformedSystem:
     """Diagonalize the companion system and slice the input per cluster.
 
     For non-degenerate spectra the eigenvector matrix is known in closed
@@ -308,7 +311,7 @@ def transform_and_group(companion: CompanionSystem,
     fused = bool(roots.is_degenerate.any())
     # each root gap is real or purely imaginary, so np.abs is exact here
     analytic_ok = not fused and bool(
-        np.all(np.abs(mu_p - mu_m) > collision_tol))
+        np.all(np.abs(mu_p - mu_m) > COLLISION_TOL))
     if analytic_ok:
         offsets = np.cumsum((0,) + sizes[:-1])
         values = []
@@ -318,20 +321,19 @@ def transform_and_group(companion: CompanionSystem,
         vals = np.array(values)
         pairwise = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(pairwise, np.inf)
-        if pairwise.min() <= collision_tol:
+        if pairwise.min() <= COLLISION_TOL:
             analytic_ok = False  # clusters collide; merge via generic path
 
     if not analytic_ok:
         # a defective companion block scatters its computed eigenvalues
         # by about sqrt(machine eps), so clustering for a known-fused
         # pair must open up to that resolution floor
-        tol_eff = collision_tol
+        tol_eff = COLLISION_TOL
         if fused:
             scale = float(max(np.abs(mu_p).max(), np.abs(mu_m).max(), 1.0))
-            tol_eff = max(collision_tol, 5e-7 * scale)
+            tol_eff = max(COLLISION_TOL, 5e-7 * scale)
         return transform_matrix_system(
-            companion.p_2n, companion.q_2nm,
-            cluster_tol=tol_eff, cond_limit=cond_limit)
+            companion.p_2n, companion.q_2nm, cluster_tol=tol_eff)
 
     v = np.zeros((2 * n, 2 * n), dtype=complex)
     idx = np.arange(n)
@@ -340,9 +342,9 @@ def transform_and_group(companion: CompanionSystem,
     v[idx, n + idx] = 1.0
     v[n + idx, n + idx] = -mu_m
     cond = float(np.linalg.cond(v))
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise IllConditionedTransformError(
-            f"transform condition number {cond:.3e} exceeds {cond_limit:.1e}")
+            f"transform condition number {cond:.3e} exceeds {COND_LIMIT:.1e}")
     r = np.linalg.solve(v, np.eye(2 * n, dtype=complex))
     d = np.diag(np.concatenate([-mu_p, -mu_m]))
     q_bar = r @ companion.q_2nm
@@ -400,8 +402,7 @@ def _chain_end_rows(block: np.ndarray, cluster: EigenCluster) -> tuple:
 
 
 def rank_conditions(transformed: TransformedSystem,
-                    partition: UnstablePartition | None = None, *,
-                    rtol: float = RANK_RTOL) -> RankReport:
+                    partition: UnstablePartition | None = None) -> RankReport:
     """Steerability rank test, one entry per eigenvalue cluster.
 
     The input must reach the top of every chain of the cluster, so the
@@ -419,21 +420,19 @@ def rank_conditions(transformed: TransformedSystem,
             rank = 0
         else:
             s = np.linalg.svd(sl, compute_uv=False)
-            rank = int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
+            rank = int(np.sum(s > RANK_RTOL * s[0])) if s[0] > 0 else 0
         entries.append(RankEntry(cluster=cluster, rank=rank,
                                  required=len(rows), chain_end_rows=rows))
     return RankReport(entries=tuple(entries))
 
 
-def kalman_observability_check(transformed: TransformedSystem,
-                               horizon: float = 1.0, *,
-                               rel_tol: float = 1e-12) -> bool:
+def kalman_observability_check(transformed: TransformedSystem) -> bool:
     """Gramian route to the same steerability question.
 
     Forms the Gramian of the block and the transformed input over
-    [0, horizon] with :func:`controllability_gramian`, for diagonal and
-    chain blocks alike, and demands the smallest eigenvalue clear
-    ``rel_tol`` times the largest.  Independent of the rank computation
+    [0, KALMAN_HORIZON] with :func:`controllability_gramian`, for diagonal
+    and chain blocks alike, and demands the smallest eigenvalue clear
+    ``KALMAN_RTOL`` times the largest.  Independent of the rank computation
     and expected to agree with it.  The block must meet the precondition
     of :func:`controllability_gramian`, as every transformed companion
     block does.
@@ -441,11 +440,11 @@ def kalman_observability_check(transformed: TransformedSystem,
     if transformed.block.shape[0] == 0:
         return True
     eigs = np.linalg.eigvalsh(controllability_gramian(
-        transformed.block, transformed.q_bar, horizon))
+        transformed.block, transformed.q_bar, KALMAN_HORIZON))
     top = eigs[-1]
     if top <= 0.0:
         return False
-    return bool(eigs[0] > rel_tol * top)
+    return bool(eigs[0] > KALMAN_RTOL * top)
 
 
 def pbh_rank_loss(p: np.ndarray, q: np.ndarray, eigenvalues):
@@ -498,40 +497,6 @@ def controllability_gramian(a: np.ndarray, b: np.ndarray,
     return 0.5 * (gram + gram.conj().T)
 
 
-def _powers(step: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
-    """Columns ``step^k start`` for ``k = 0 .. count-1``.
-
-    Doubling: the columns held so far are advanced by ``step^n`` in one
-    matmul, so ``count`` columns take about ``log2(count)`` matmuls.
-    """
-    cols = start.reshape(-1, 1)
-    power = step
-    while cols.shape[1] < count:
-        n = cols.shape[1]
-        cols = np.hstack([cols, power @ cols[:, :count - n]])
-        if cols.shape[1] < count:
-            power = power @ power
-    return cols
-
-
-def _fold(phi: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """End state ``sum_k phi^(n-1-k) cols[:, k]`` of
-    ``x_{k+1} = phi x_k + cols[:, k]`` from ``x_0 = 0``.
-
-    Pairwise in log depth: each level joins neighbouring runs of equal
-    length ``L`` as ``phi^L first + second``, all pairs in one matmul.
-    """
-    power = phi
-    while cols.shape[1] > 1:
-        if cols.shape[1] % 2:
-            # a leading zero run leaves the end state unchanged
-            cols = np.hstack([np.zeros((cols.shape[0], 1)), cols])
-        cols = power @ cols[:, 0::2] + cols[:, 1::2]
-        if cols.shape[1] > 1:
-            power = power @ power
-    return cols[:, 0]
-
-
 def min_energy_control(companion: CompanionSystem, x0,
                        horizon: float) -> NullControl:
     """Minimum-energy control steering the companion state to zero.
@@ -540,15 +505,16 @@ def min_energy_control(companion: CompanionSystem, x0,
     ``g = G_T^{-1} e^{P T} x0`` and the finite-horizon Gramian ``G_T``;
     the energy is ``g^T G_T g``.  The costate
     ``psi(t) = e^{P^T (T-t)} g`` is sampled on the ``CONTROL_SAMPLES``
-    output grid as powers of one cell exponential, applied by doubling,
-    and gives ``w = -Q^T psi``.  The physical amplitudes ``v``
-    (``v' + delta v = w``, ``v(T) = 0``) follow in closed form,
+    output grid as the scan (``quadrature.scan``) of one cell
+    exponential from ``g``, reversed, and gives ``w = -Q^T psi``.  The
+    physical amplitudes ``v`` (``v' + delta v = w``, ``v(T) = 0``)
+    follow in closed form,
     ``v = L psi - e^{delta (T-t)} L g`` with ``L (P^T - delta I) = Q^T``.
     The exact cell map of the controlled system,
     ``x_{k+1} = Phi x_k + Gamma psi_k`` from the exponential of the
     Hamiltonian ``[[P, -Q Q^T], [0, -P^T]]``, carries ``x0`` to the
-    terminal state in log depth; its size relative to ``|x0|`` is
-    reported on the result.
+    terminal state, the last row of its scan; its size relative to
+    ``|x0|`` is reported on the result.
 
     Raises
     ------
@@ -610,7 +576,9 @@ def min_energy_control(companion: CompanionSystem, x0,
     phi = cell[:dim, :dim]
 
     # psi_k = Phi^T psi_{k+1} back from psi(T) = g
-    psi = _powers(phi.T, g_vec, CONTROL_SAMPLES)[:, ::-1]
+    start = np.zeros((CONTROL_SAMPLES, dim))
+    start[0] = g_vec
+    psi = quadrature.scan(phi.T, start)[::-1].T
     w = -(q.T @ psi)
     # P is Hurwitz and delta > 0, so P - delta I is invertible.  In this
     # form only L g meets the growth e^{delta (T-t)}; a recursion for v
@@ -619,9 +587,10 @@ def min_energy_control(companion: CompanionSystem, x0,
     v = l_psi - l_psi[:, -1:] * np.exp(delta * (horizon - grid))
 
     # x_{k+1} = Phi x_k + Gamma psi_k carries x0 to the terminal state
-    drive = cell[:dim, dim:] @ psi[:, :-1]
-    drive[:, 0] += phi @ x0
-    terminal_error = float(np.linalg.norm(_fold(phi, drive)) / x0_norm)
+    drive = (cell[:dim, dim:] @ psi[:, :-1]).T
+    drive[0] += phi @ x0
+    terminal = quadrature.scan(phi, drive)[-1]
+    terminal_error = float(np.linalg.norm(terminal) / x0_norm)
     if not terminal_error <= TERMINAL_LIMIT:
         raise HorizonTooSmallError(
             f"steering control misses the target by {terminal_error:.3e} "

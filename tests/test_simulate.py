@@ -8,9 +8,11 @@ from analytic samples.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pidestab import (
     ActuatorControl,
@@ -128,6 +130,31 @@ def test_exact_rejects_double_roots():
     assert np.all(np.isfinite(traj.alpha))
 
 
+def test_exact_evaluates_the_source_once():
+    # the source is evaluated on the nodes of every cell in one call, so
+    # the number of signal calls does not grow with the number of samples
+    class CountingSignal:
+        def __init__(self):
+            self.calls = 0
+
+        def value(self, t):
+            self.calls += 1
+            return np.cos(np.atleast_1d(np.asarray(t, dtype=float)))[None]
+
+        def derivative(self, t):
+            self.calls += 1
+            return -np.sin(np.atleast_1d(np.asarray(t, dtype=float)))[None]
+
+    calls = []
+    for n in (11, 101, 1001):
+        signal = CountingSignal()
+        simulate_exact(Spectrum.from_values([2.0]),
+                       MemoryKernel(b=1.0, delta=1.5), [1.0], signal,
+                       grid_to(1.0, n))
+        calls.append(signal.calls)
+    assert calls[0] == calls[1] == calls[2]
+
+
 def test_grid_validation():
     spectrum = Spectrum.from_values([1.0])
     kernel = MemoryKernel(b=1.0, delta=1.0)
@@ -166,7 +193,8 @@ def test_ode_memory_variable_residual():
 
 def test_ode_step_instability_detected():
     # positive feedback u = 60 alpha on x = (alpha, z) drives the loop
-    # unstable; the run refuses rather than returning garbage
+    # unstable; the run refuses rather than returning garbage, and names
+    # the first sample above the bound, found here by a plain loop
     class RunawayFeedback:
         aux0 = np.zeros(0)
         input_matrix = np.array([[60.0, 0.0]])
@@ -174,9 +202,18 @@ def test_ode_step_instability_detected():
 
     spectrum = Spectrum.from_values([1.0])
     kernel = MemoryKernel(b=1.0, delta=1.0)
-    with pytest.raises(StepInstabilityError):
-        simulate_ode(spectrum, kernel, [1.0], RunawayFeedback(),
-                     grid_to(2.0, 21))
+    grid = grid_to(2.0, 21)
+    # alpha' = (60 - lam) alpha - b lam z, z' = alpha - delta z
+    step = scipy.linalg.expm(np.array([[59.0, -1.0], [1.0, -1.0]])
+                             * (grid[1] - grid[0]))
+    x = np.array([1.0, 0.0])
+    for t in grid[1:]:
+        x = step @ x
+        if np.linalg.norm(x) > 1e6 * (1.0 + 1.0):
+            break
+    with pytest.raises(StepInstabilityError,
+                       match=re.escape(f"at t={t:.6g}") + "$"):
+        simulate_ode(spectrum, kernel, [1.0], RunawayFeedback(), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,8 @@ from pidestab import (
     recover_v,
     transform_and_group,
 )
-from pidestab.synthesis import (
-    CONTROL_SAMPLES,
-    _fold,
-    _powers,
-    controllability_gramian,
-)
+from pidestab.quadrature import scan
+from pidestab.synthesis import CONTROL_SAMPLES, controllability_gramian
 
 
 def make_setup(values, kernel, gamma, *, coefficients=None, count=None,
@@ -508,25 +504,25 @@ def test_min_energy_samples_match_per_sample_exponential(case):
 
 @pytest.mark.parametrize("count", [1, 2, 1024, 1025, 1027])
 def test_doubling_and_log_depth_fold_match_loops(count):
+    # the all-prefix scan doubles its span each level; every row must
+    # match the plain loop x_k = step x_{k-1} + drive[k] from x_{-1} = 0,
+    # for a drive that only starts the run (the powers of step) and for
+    # a drive on every row (the fold), at counts on and off powers of two
     rng = np.random.default_rng(count)
     step = scipy.linalg.expm((rng.normal(size=(4, 4)) - 3.0 * np.eye(4))
                              * 1e-3)
-    start = rng.normal(size=4)
-    cols = [start]
-    for _ in range(count - 1):
-        cols.append(step @ cols[-1])
-    ref = np.stack(cols, axis=1)
-    got = _powers(step, start, count)
-    assert got.shape == (4, count)
-    np.testing.assert_allclose(got, ref, rtol=0.0,
-                               atol=1e-12 * np.abs(ref).max())
-
-    drive = rng.normal(size=(4, count))
-    x = np.zeros(4)
-    for k in range(count):
-        x = step @ x + drive[:, k]
-    np.testing.assert_allclose(_fold(step, drive), x, rtol=0.0,
-                               atol=1e-12 * np.abs(x).max())
+    start_only = np.zeros((count, 4))
+    start_only[0] = rng.normal(size=4)
+    for drive in (start_only, rng.normal(size=(count, 4))):
+        rows, x = [], np.zeros(4)
+        for d in drive:
+            x = step @ x + d
+            rows.append(x)
+        ref = np.stack(rows)
+        got = scan(step, drive)
+        assert got.shape == (count, 4)
+        np.testing.assert_allclose(got, ref, rtol=0.0,
+                                   atol=1e-12 * np.abs(ref).max())
 
 
 def test_min_energy_dimension_guard():

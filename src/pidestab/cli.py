@@ -10,6 +10,7 @@ solver failures, 5 certification failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -701,7 +702,13 @@ def _apply_overrides(sc: Scenario, args, command: str) -> Scenario:
     return replace(sc, **updates) if updates else sc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after.
+
+    ``parse_args`` keeps no state between calls, so every ``main`` call
+    parses its own arguments; callers must not add to the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="pidestab",
         description="Feedback stabilization toolkit for diffusion "

@@ -8,6 +8,7 @@ scripting contract: 0 ok, 2 config, 3 steerability, 4 solver,
 
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,31 @@ def test_missing_or_broken_config_file(tmp_path):
 def test_missing_config_flag_is_a_usage_error():
     with pytest.raises(SystemExit):
         cli.main(["analyze"])
+
+
+def test_consecutive_main_calls_parse_independently(tmp_path, monkeypatch):
+    seen = []
+    for name in ("analyze", "synthesize", "simulate", "certify"):
+        monkeypatch.setattr(
+            cli, f"cmd_{name}",
+            lambda sc, controller=None, name=name:
+                seen.append((name, asdict(sc), controller)))
+    cfg = headline_config(tmp_path, tmp_path / "base")
+    base = cli.load_scenario(cfg)
+    runs = [
+        (["synthesize", "--out", "a", "--horizon", "3"],
+         "synthesize", replace(base, out="a", horizon=3.0), None),
+        (["certify", "--controller", "c.json"], "certify", base, "c.json"),
+        (["simulate", "--horizon", "5"],
+         "simulate", replace(base, t_max=5.0), None),
+        (["simulate", "--out", "b"], "simulate", replace(base, out="b"),
+         None),
+        (["analyze"], "analyze", base, None),
+    ]
+    for argv, name, scenario, controller in runs:
+        assert cli.main(argv[:1] + ["--config", cfg] + argv[1:]) == 0
+        assert seen.pop() == (name, asdict(scenario), controller)
+    assert cli.build_parser() is cli.build_parser()
 
 
 # ---------------------------------------------------------------------------

@@ -6,30 +6,48 @@ byte-reproducible and round-trip exactly through text.  Complex values
 appear as [re, im] pairs.  Non-finite values read nan, inf, -inf; in
 JSON they are strings, since strict JSON has no literals for them.
 
-CSV tables are formatted by numpy, a block of values at a time, on an
-exact route that gives the bytes of ``'%.17g' %``:
+Every float goes through one array formatter, ``_format_values``: CSV
+tables a block of values at a time, JSON documents all their floats in
+one call.  It gives the bytes of ``'%.17g' %`` by an exact route:
 
 * Digits.  For finite x with 1e-250 <= |x| <= 1e250, take
   e = floor(log10 |x|) and form y = |x| 10^(16-e) as a double-double:
   Dekker's exact product of |x| with 10^(16-e), held as a pair (hi, lo)
-  built from exact integer arithmetic on the first CSV write, plus
-  |x| lo.  The error of y is below 2^-47.  e moves by one where y falls
-  outside [10^16, 10^17); y rounded half-even is the integer D of the
-  17 digits, and D = 10^17 becomes 10^16 with e + 1.
+  built from exact integer arithmetic on first use, plus |x| lo.  The
+  error of y is below 2^-47.  e moves by one where y falls outside
+  [10^16, 10^17); y rounded half-even is the integer D of the 17
+  digits, and D = 10^17 becomes 10^16 with e + 1.
 * Guard.  A value goes through ``'%.17g' %`` on its own when the
   fraction of y lies within 2^-30 of one half (exact and near ties),
   when its decade did not settle in one move, when |x| lies outside the
   range above, or when x is nan or infinite.  Zeros of either sign stay
   on the array route.
-* Layout.  Each value owns 48 byte slots: sign, a ``0.000`` prefix,
-  17 pairs of a digit and a point, ``e±XXX`` and the separator.  Slots
-  not used hold 0, trailing zeros of D are set to 0, and one
-  ``translate`` deletes every 0 of the block.
+* Layout.  Each value owns 32 byte slots, four little-endian words:
+  the sign (slot 0), a ``0.000`` prefix (1-5), the lead digit (6), a
+  point (7), the other 16 digits of D in a row (8-23), the slot that
+  takes the last of them when a point goes inside the row (24),
+  ``e±XXX`` (24-28) and the separator (31).  The row is two words of
+  raw digits 0-9 from a table of 4-digit groups, so K, the count of
+  row digits left once trailing zeros go, is read off the binary
+  exponent of the row taken as a float.  A point after s digits of the
+  row goes in by a word shift: the bytes from s on move up one slot,
+  w + 255 (w & H) for the mask H of those bytes.  One table row per
+  exponent and K holds the masks H and the record the digits are added
+  to: the prefix, the point, ``e±XXX`` and a '0' under each digit kept
+  (integer digits always, trailing zeros after the point not).  One
+  ``translate`` deletes the slots left at 0.
+
+``dumps`` lays a document out as ``json.dumps(obj, indent=2)`` does and
+keeps the text between its floats, which come in runs: a float on its
+own or a float array's row.  One ``_format_values`` call formats every
+float of the document, nan and the infinities are quoted, and the text
+goes back together around the runs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -52,37 +70,114 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-_TOKEN = "__f17g_{}__"
-_TOKEN_RE = re.compile(r'"__f17g_(\d+)__"')
+_STRING = json.encoder.encode_basestring_ascii
 
 
-def _convert(obj, tokens: list):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        tokens.append(format_float(float(obj)))
-        return _TOKEN.format(len(tokens) - 1)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [_convert(obj.real, tokens), _convert(obj.imag, tokens)]
-    if isinstance(obj, np.ndarray):
-        return [_convert(v, tokens) for v in obj.tolist()] \
-            if obj.ndim > 0 else _convert(obj.item(), tokens)
-    if isinstance(obj, dict):
-        return {str(k): _convert(v, tokens) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_convert(v, tokens) for v in obj]
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+class _Document:
+    """A JSON document laid out with its floats left out.
+
+    The floats come in runs: a float on its own, or a float array's row.
+    ``runs`` holds per run the text before it, its float count and the
+    text between its floats; ``tail`` is the text after the last run,
+    and ``chunks`` plus ``scalars`` hold the floats in order."""
+
+    def __init__(self):
+        self.runs, self.tail = [], []
+        self.chunks, self.scalars = [], []
+
+    def _run(self, count: int, between: str) -> None:
+        self.runs.append(("".join(self.tail), count, between))
+        self.tail.clear()
+
+    def walk(self, obj, nl: str) -> None:
+        """Lay out ``obj``, whose first line is already open; ``nl`` is
+        the newline and indent of its closing line."""
+        if isinstance(obj, (float, np.floating)):
+            self._run(1, "")
+            self.scalars.append(float(obj))
+        elif isinstance(obj, str):
+            self.tail.append(_STRING(obj))
+        elif isinstance(obj, dict):
+            obj = {str(k): v for k, v in obj.items()}
+            self._items([_STRING(k) + ": " for k in obj], list(obj.values()),
+                        nl, "{}")
+        elif isinstance(obj, (list, tuple)):
+            self._items(itertools.repeat(""), obj, nl, "[]")
+        elif isinstance(obj, (bool, np.bool_)):
+            self.tail.append("true" if obj else "false")
+        elif isinstance(obj, (int, np.integer)):
+            self.tail.append(str(int(obj)))
+        elif isinstance(obj, np.ndarray):
+            self._array(np.asarray(obj), nl)
+        elif isinstance(obj, (complex, np.complexfloating)):
+            self.walk([obj.real, obj.imag], nl)
+        elif obj is None:
+            self.tail.append("null")
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    def _items(self, keys, values, nl: str, brackets: str) -> None:
+        """A dict or, with keys all "", a list: one value a line."""
+        if len(values) == 0:
+            self.tail.append(brackets)
+            return
+        inner = nl + "  "
+        opening = brackets[0] + inner
+        for key, value in zip(keys, values):
+            self.tail.append(opening + key)
+            self.walk(value, inner)
+            opening = "," + inner
+        self.tail.append(nl + brackets[1])
+
+    def _array(self, a: np.ndarray, nl: str) -> None:
+        """A float row is one run; complex values are [re, im] float
+        pairs; other arrays are laid out as their ``tolist()``."""
+        if a.ndim == 0:
+            self.walk(a.item(), nl)
+            return
+        if a.dtype.kind == "c":
+            a = np.ascontiguousarray(a, dtype=complex).view(float) \
+                .reshape(*a.shape, 2)
+        elif a.dtype.kind != "f":
+            self.walk(a.tolist(), nl)
+            return
+        if a.ndim > 1 or a.size == 0:
+            self._items(itertools.repeat(""), a, nl, "[]")
+            return
+        inner = nl + "  "
+        self.tail.append("[" + inner)
+        self._run(a.size, "," + inner)
+        self.chunks += [self.scalars, np.asarray(a, dtype=float)]
+        self.scalars = []
+        self.tail.append(nl + "]")
+
+    def text(self) -> str:
+        """The document, its floats formatted by one array call."""
+        if not self.runs:
+            return "".join(self.tail)
+        x = np.concatenate([*self.chunks, self.scalars])
+        cells = _format_values(x, ord("\n"))
+        if not np.isfinite(x).all():            # nan, inf, -inf quoted
+            cells = re.sub(rb"-?inf|nan", rb'"\g<0>"', cells)
+        ends = np.flatnonzero(np.frombuffer(cells, np.uint8) == ord("\n"))
+        counts = [count for _, count, _ in self.runs]
+        cells = cells.decode("ascii")
+        parts, start = [], 0
+        for (before, _, between), stop in zip(
+                self.runs, ends[np.cumsum(counts) - 1].tolist()):
+            parts += (before, cells[start:stop].replace("\n", between))
+            start = stop + 1
+        parts.append("".join(self.tail))
+        return "".join(parts)
 
 
 def dumps(obj) -> str:
-    tokens: list = []
-    tree = _convert(obj, tokens)
-    text = json.dumps(tree, indent=2)
-    return _TOKEN_RE.sub(lambda m: tokens[int(m.group(1))], text) + "\n"
+    """``json.dumps(obj, indent=2)`` of ``obj`` with numpy values as
+    Python ones and each float as ``format_float`` writes it, plus a
+    newline."""
+    doc = _Document()
+    doc.walk(obj, "\n")
+    return doc.text() + "\n"
 
 
 def json_dump(path, obj) -> None:
@@ -95,9 +190,9 @@ def json_load(path):
         return json.load(fh)
 
 
-# CSV values are laid out in six uint64 words, 48 byte slots each (see
-# the module docstring); these are the slots of the fixed fields.
-_SIGN, _DIGIT0, _EXP, _SEP = 0, 6, 40, 45
+# slots of a value's 32-byte record (see the module docstring)
+_LEAD, _POINT, _ROW, _EXP, _SEP = 6, 7, 8, 24, 31
+_WORD = np.dtype("<u8")
 _TINY, _HUGE = 1e-250, 1e250        # the exact route's magnitude range
 _EMAX = 260                         # decades covered by the tables
 _TIE = 2.0 ** -30                   # guard band around a rounding tie
@@ -105,10 +200,12 @@ _SPLIT = 134217729.0                # 2^27 + 1, Veltkamp's splitter
 _BLOCK = 4096                       # values formatted per file write
 
 
-def _words(slots) -> np.ndarray:
-    """Flat uint64 words of a uint8 array of byte slots."""
-    return np.ascontiguousarray(slots, dtype=np.uint8).view(np.uint64) \
-        .reshape(-1)
+def _exponent_class(e: int) -> int:
+    """0..16: positional with e + 1 integer digits; 17..20: positional
+    with a prefix 0. to 0.000; 21: scientific."""
+    if 0 <= e <= 16:
+        return e
+    return 21 + e if -4 <= e < 0 else 21
 
 
 def _powers_of_ten() -> np.ndarray:
@@ -129,77 +226,74 @@ def _powers_of_ten() -> np.ndarray:
     return np.array(table).T.copy()
 
 
-def _digit_words():
-    """Words of the 4-digit groups 0000..9999 at even slots, the count of
-    each group's trailing zeros (4 for 0000), and per count the mask
-    that deletes that many digits from the end of a group."""
+def _digit_groups() -> np.ndarray:
+    """The 4-digit groups 0000..9999 as four raw digit bytes each, in the
+    first and in the second half of a word."""
     group = np.arange(10000)
-    slots = np.zeros((10000, 8), np.uint8)
+    raw = np.zeros((2, 10000, 8), np.uint8)
     for k in range(4):
-        slots[:, 2 * k] = group // 10 ** (3 - k) % 10 + ord("0")
-    zeros = sum(group % 10 ** k == 0 for k in range(1, 5))
-    keep = np.zeros((5, 8), np.uint8)
-    for count in range(5):
-        keep[count, :8 - 2 * count] = 0xFF
-    return _words(slots), zeros, _words(keep)
+        raw[0, :, k] = raw[1, :, 4 + k] = group // 10 ** (3 - k) % 10
+    return raw.view(_WORD).reshape(2, -1)
 
 
-def _forms():
-    """Words of each exponent's layout, without and then with a decimal
-    point, and 10^(digits after the digit the point follows)."""
+def _forms() -> tuple:
+    """Per exponent e and K, at row 17 (e + _EMAX) + K: the four words
+    the record starts from (prefix, points, the '0' added to each digit
+    kept, ``e±XXX``), and the masks H1, H2 of the row bytes that move up
+    one slot."""
+    adds = np.zeros((22, 17, 32), np.uint8)     # per exponent class
+    moves = np.zeros((22, 17, 16), np.uint8)
+    for c in range(22):
+        for k in range(17):
+            if 17 <= c <= 20:                   # 0.000ddd, no point after
+                adds[c, k, 1:23 - c] = list(b"0.000"[:22 - c])
+                digits, point = k, None
+            else:                               # point after `ints` digits
+                ints = c if c <= 16 else 0
+                digits = max(k, ints)
+                point = ints if k > ints else None
+            for j in range(digits):
+                adds[c, k, _ROW + j + (point is not None and 0 < point <= j)] \
+                    = ord("0")
+            if point == 0:
+                adds[c, k, _POINT] = ord(".")
+            elif point is not None:
+                adds[c, k, _ROW + point] = ord(".")
+                moves[c, k, point:] = 0xFF
     exps = range(-_EMAX, _EMAX + 1)
-    slots = np.zeros((len(exps), 2, 48), np.uint8)
-    tail = np.ones(len(exps), np.int64)
-    for i, x in enumerate(exps):
-        if -4 <= x < 0:                         # 0.000ddd
-            slots[i, :, 1:3] = list(b"0.")
-            slots[i, :, 3:2 - x] = ord("0")
-            continue
-        if 0 <= x <= 16:                        # integer digits stay
-            point = x
-            slots[i, :, _DIGIT0:_DIGIT0 + 2 * x + 1:2] = ord("0")
-        else:
-            point = 0
-            text = b"e%+03d" % x
-            slots[i, :, _EXP:_EXP + 2] = list(text[:2])
-            slots[i, :, _SEP + 2 - len(text):_SEP] = list(text[2:])
-        tail[i] = 10 ** (16 - point)
-        slots[i, 1, _DIGIT0 + 2 * point + 1] = ord(".")
-    return _words(slots).reshape(-1, 6), tail
-
-
-def _slot_words(slot: int, chars: bytes) -> np.ndarray:
-    """One word per char, holding it at the slot's place in its word."""
-    slots = np.zeros((len(chars), 8), np.uint8)
-    slots[:, slot % 8] = list(chars)
-    return _words(slots)
+    classes = [_exponent_class(e) for e in exps]
+    forms = adds[classes]
+    for i, e in enumerate(exps):
+        if classes[i] == 21:
+            mark = b"e%+03d" % e
+            forms[i, :, _EXP:_EXP + len(mark)] = list(mark)
+    return (forms.view(_WORD).reshape(-1, 4),
+            moves[classes].view(_WORD).reshape(-1, 2).T.copy())
 
 
 @functools.cache
 def _tables() -> tuple:
     """The formatter's tables, built on first use so that a program that
-    writes no CSV does not pay for them: the powers of ten, the digit
-    words with their trailing-zero counts and masks, the forms and their
-    tails."""
-    return (_powers_of_ten(), *_digit_words(), *_forms())
+    writes nothing does not pay for them: the powers of ten, the digit
+    groups, the record forms and the shift masks."""
+    return (_powers_of_ten(), _digit_groups(), *_forms())
 
 
-_HEAD = _slot_words(_DIGIT0, b"0123456789") | \
-    _slot_words(_SIGN, b"\0-")[:, None]       # lead digit, then sign
-_COMMA, _NEWLINE = _slot_words(_SEP, b",\n")
-
-
-def _scaled(mag, e):
-    """|x| 10^(16-e) as hi + lo: Dekker's exact product with hi_10,
-    plus |x| lo_10; the error is below 2^-47 for a result under 10^17."""
-    i = e + _EMAX
+def _scaled(mag, i):
+    """|x| 10^(16-e) as hi + lo, for the table rows i = e + _EMAX:
+    Dekker's exact product with hi_10, plus |x| lo_10; the error is below
+    2^-47 for a result under 10^17."""
     hi10, lo10, head10, tail10 = (row.take(i) for row in _tables()[0])
     hi = mag * hi10
     c = mag * _SPLIT
     head = c - (c - mag)
     tail = mag - head
-    lo = (((head * head10 - hi) + head * tail10 + tail * head10)
-          + tail * tail10) + mag * lo10
+    lo = head * head10
+    lo -= hi
+    lo += head * tail10
+    lo += tail * head10
+    lo += tail * tail10
+    lo += mag * lo10
     return hi, lo
 
 
@@ -212,65 +306,73 @@ def _outside(hi, lo):
 
 
 def _exact_digits(mag):
-    """17-digit integers D and exponents of positive magnitudes in the
-    fast range, rounded half-even, and the mask of values to guard."""
-    e = np.floor(np.log10(mag)).astype(np.intp)
-    hi, lo = _scaled(mag, e)
+    """17-digit integers D of positive magnitudes in the fast range,
+    rounded half-even, the table rows e + _EMAX of their exponents, and
+    the mask of values to guard."""
+    i = np.floor(np.log10(mag)).astype(np.intp) + _EMAX
+    hi, lo = _scaled(mag, i)
     below, above = _outside(hi, lo)
     moved = np.flatnonzero(below | above)
-    unsettled = np.zeros(mag.size, bool)
     if moved.size:
-        e[moved] += above[moved].astype(np.intp) - below[moved]
-        hi[moved], lo[moved] = _scaled(mag[moved], e[moved])
+        i[moved] += above[moved].astype(np.intp) - below[moved]
+        hi[moved], lo[moved] = _scaled(mag[moved], i[moved])
         below, above = _outside(hi[moved], lo[moved])
-        unsettled[moved] = below | above
+        moved = moved[below | above]            # unsettled
     rounded = np.rint(lo)
-    tie = np.abs(np.abs(lo - rounded) - 0.5) < _TIE
-    d = hi.astype(np.int64) + rounded.astype(np.int64)
+    unsure = np.abs(lo - rounded) > 0.5 - _TIE
+    unsure[moved] = True
+    d = hi.astype(np.int64)
+    d += rounded.astype(np.int64)
     carry = np.flatnonzero(d >= 10 ** 17)
-    d[carry] //= 10
-    e[carry] += 1
-    return d, e, tie | unsettled
+    if carry.size:
+        d[carry] //= 10
+        i[carry] += 1
+    return d, i, unsure
 
 
 def _format_values(x, sep) -> bytearray:
     """``'%.17g' % v`` of each value of the flat array x, each followed
-    by its separator word of ``sep``."""
+    by its separator byte of ``sep``."""
     mag = np.abs(x)
     fast = (mag >= _TINY) & (mag <= _HUGE)
-    d, e, unsure = _exact_digits(np.where(fast, mag, 1.0))
+    d, i, unsure = _exact_digits(np.where(fast, mag, 1.0))
     d *= fast                                   # zeros read 0
     guard = unsure | (~fast & (mag != 0))
 
-    # D is a lead digit, then the 4-digit groups g1 g2 g3 g4; z_k marks
-    # groups k.. all zero, so group k - 1 drops its trailing zeros
-    high = d // 10 ** 8
-    low = d - high * 10 ** 8
-    g12 = high // 10000
-    g2 = high - g12 * 10000
-    lead = g12 // 10000
-    g1 = g12 - lead * 10000
-    g3 = low // 10000
-    g4 = low - g3 * 10000
-    z4 = g4 == 0
-    z3 = z4 & (g3 == 0)
-    z2 = z3 & (g2 == 0)
+    # D is a lead digit and a row of 16 digits, which becomes two words
+    # of raw digits, each from a pair of 4-digit groups
+    lead = d // 10 ** 16
+    row = d - lead * 10 ** 16
+    halves = np.empty((2, x.size), np.intp)
+    np.floor_divide(row, 10 ** 8, out=halves[0])
+    np.subtract(row, halves[0] * 10 ** 8, out=halves[1])
+    high = halves // 10000
+    _, digits, forms, masks = _tables()
+    raw = digits[0].take(high)
+    raw |= digits[1].take(halves - high * 10000)
+    # K from the highest set bit of the row read as a 128-bit integer
+    kept = (np.frexp(raw[1] * 2.0 ** 64 + raw[0])[1] + 7) >> 3
+    form = i * 17 + kept
 
-    _, digits, zeros, keep, forms, tail = _tables()
-    i = e + _EMAX
-    text = bytearray(48 * x.size)
-    words = np.frombuffer(text, np.uint64).reshape(-1, 6)
-    forms.take(2 * i + (d % tail.take(i) != 0), axis=0, out=words)
-    words[:, 0] |= _HEAD.take(lead + 10 * np.signbit(x))
-    words[:, 1] |= digits.take(g1) & keep.take(zeros.take(g1) * z2)
-    words[:, 2] |= digits.take(g2) & keep.take(zeros.take(g2) * z3)
-    words[:, 3] |= digits.take(g3) & keep.take(zeros.take(g3) * z4)
-    words[:, 4] |= digits.take(g4) & keep.take(zeros.take(g4))
-    words[:, 5] |= sep
+    text = bytearray(32 * x.size)
+    record = np.frombuffer(text, np.uint8).reshape(-1, 32)
+    words = record.view(_WORD)
+    forms.take(form, axis=0, out=words)
+    moving = raw & masks.take(form, axis=1)
+    carry, spill = moving >> 56
+    moving *= 255                               # w + 255 (w & H)
+    moving += raw
+    moving[1] += carry
+    words[:, 1] += moving[0]
+    words[:, 2] += moving[1]
+    words[:, 3] += spill
+    record[:, _LEAD] = lead + ord("0")
+    np.multiply(np.signbit(x).view(np.uint8), ord("-"), out=record[:, 0])
+    record[:, _SEP] = sep
 
     for j in np.flatnonzero(guard):
         cell = b"%.17g" % x[j]
-        text[48 * j:48 * j + _SEP] = cell.ljust(_SEP, b"\0")
+        text[32 * j:32 * j + _SEP] = cell.ljust(_SEP, b"\0")
     return text.translate(None, b"\0")
 
 
@@ -289,8 +391,8 @@ def write_csv(path, header, table) -> None:
             fh.write(b"\n" * n_rows)
             return
         step = max(1, _BLOCK // n_cols)
-        sep = np.full((step, n_cols), _COMMA)
-        sep[:, -1] = _NEWLINE
+        sep = np.full((step, n_cols), ord(","), np.uint8)
+        sep[:, -1] = ord("\n")
         sep = sep.reshape(-1)
         for start in range(0, n_rows, step):
             block = table[start:start + step].reshape(-1)

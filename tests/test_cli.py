@@ -16,6 +16,7 @@ import pytest
 from pidestab import cli
 from pidestab.cli import scenario_from_dict
 from pidestab.exceptions import ConfigError
+from test_serialize import per_cell_csv, reference_dumps
 
 INV_PI_SQ = 1.0 / math.pi ** 2
 OPEN_LOOP_RATE = (5.0 - math.sqrt(5.0)) / 2.0
@@ -448,6 +449,35 @@ def test_controller_round_trip_reproduces_trajectories(tmp_path):
                      str(copied), "--out", str(tmp_path / "r2")]) == 0
     assert (tmp_path / "r1" / "trajectory.csv").read_bytes() == \
         (tmp_path / "r2" / "trajectory.csv").read_bytes()
+
+
+def test_documents_are_fixed_points_of_the_reference_formatters(tmp_path):
+    # every written file reads back to exactly its own text under the
+    # per-value formatters: JSON through the placeholder route, CSV cell
+    # by cell ('%.17g' writes -0.0 as "-0", which json reads as an int)
+    def parse_int(text):
+        return -0.0 if text == "-0" else int(text)
+
+    out = tmp_path / "out"
+    cfg = headline_config(tmp_path, out)
+    assert cli.main(["synthesize", "--config", cfg]) == 0
+    assert cli.main(["certify", "--config", cfg]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--controller",
+                     str(out / "controller.json")]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["certificate.json", "controller.json", "decay_curve.csv",
+                     "null_control.csv", "run.json", "synthesis.json",
+                     "trajectory.csv"]
+    for name in names:
+        text = (out / name).read_text(encoding="utf-8")
+        if name.endswith(".json"):
+            doc = json.loads(text, parse_int=parse_int)
+            assert text == reference_dumps(doc), name
+        else:
+            header = text.split("\n", 1)[0].split(",")
+            table = np.loadtxt(out / name, delimiter=",", skiprows=1,
+                               ndmin=2)
+            assert text == per_cell_csv(header, table.tolist()), name
 
 
 def test_horizon_and_step_overrides(tmp_path):

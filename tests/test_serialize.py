@@ -1,12 +1,19 @@
-"""CSV tables: the array formatter against the per-cell formatter.
+"""CSV tables and JSON documents against per-value reference formatters.
 
-``write_csv`` formats whole blocks of values with numpy; the per-cell
-path (``format_float`` per value, quotes stripped) stays here as the
-reference, and the two must agree byte for byte.  The sweeps compare
-single values against ``'%.17g' %`` where exact rounding is hardest.
+``write_csv`` and ``dumps`` format all their floats with numpy; the
+per-value routes stay here as references, and the program must agree
+with them byte for byte.  For CSV that is ``format_float`` per cell,
+quotes stripped; for JSON it is a placeholder per float, then
+``json.dumps(indent=2)``, then ``'%.17g' %`` of each value.  The sweeps
+compare single values against ``'%.17g' %`` where exact rounding and
+layout are hardest.
 """
 
+import json
+import re
+
 import numpy as np
+import pytest
 
 from pidestab import serialize
 from pidestab.simulate import Trajectory
@@ -18,6 +25,40 @@ def per_cell_csv(header, rows) -> str:
         lines.append(",".join(serialize.format_float(v).strip('"')
                               for v in row))
     return "\n".join(lines) + "\n"
+
+
+def reference_dumps(obj) -> str:
+    """JSON text by the per-value route: every float becomes a
+    placeholder string, ``json.dumps(indent=2)`` lays the document out,
+    and each placeholder is replaced by ``'%.17g' %`` of its value
+    (nan and the infinities as the strings "nan", "inf", "-inf")."""
+    tokens = []
+
+    def convert(o):
+        if isinstance(o, bool):
+            return o
+        if isinstance(o, (float, np.floating)):
+            v = float(o)
+            tokens.append('"%r"' % v if not np.isfinite(v) else "%.17g" % v)
+            return f"__f17g_{len(tokens) - 1}__"
+        if isinstance(o, (int, np.integer)):
+            return int(o)
+        if isinstance(o, (complex, np.complexfloating)):
+            return [convert(o.real), convert(o.imag)]
+        if isinstance(o, np.ndarray):
+            return [convert(v) for v in o.tolist()] if o.ndim > 0 \
+                else convert(o.item())
+        if isinstance(o, dict):
+            return {str(k): convert(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [convert(v) for v in o]
+        if o is None or isinstance(o, str):
+            return o
+        raise TypeError(f"cannot serialize {type(o).__name__}")
+
+    text = json.dumps(convert(obj), indent=2)
+    return re.sub(r'"__f17g_(\d+)__"', lambda m: tokens[int(m.group(1))],
+                  text) + "\n"
 
 
 def awkward_values(rng, size):
@@ -103,8 +144,68 @@ def sweep_values():
     }
 
 
+def significant(text: str) -> str:
+    """The significant digits of a ``'%.17g'`` text, integer zeros kept."""
+    mantissa = text.lstrip("-").split("e")[0]
+    return mantissa.replace(".", "").lstrip("0") or "0"
+
+
+def layout_values(rng, exponents, trials=400):
+    """For each decimal exponent and each count of significant digits
+    1..17, up to two doubles whose ``'%.17g' %`` shows exactly those
+    digits, found by trying random decimals of that length."""
+    found = {}
+    for e in exponents:
+        for n in range(1, 18):
+            hits = []
+            for _ in range(trials):
+                digits = "".join(map(str, rng.integers(0, 10, n)))
+                digits = str(rng.integers(1, 10)) + digits[1:]
+                if n > 1 and digits[-1] == "0":
+                    continue
+                value = float(f"{digits[0]}.{digits[1:]}e{e}")
+                if significant("%.17g" % value) == \
+                        digits + "0" * max(0, e + 1 - n) * (0 <= e < 17):
+                    hits.append(value)
+                    if len(hits) == 2:
+                        break
+            found[e, n] = hits
+    return found
+
+
+def test_layout_sweep_covers_every_point_position_and_length():
+    # positional notation runs from e = -4 to 16: the point follows 1..16
+    # integer digits, and 1..17 significant digits are shown
+    found = layout_values(np.random.default_rng(23), range(-6, 19))
+    missing = [(e, n) for e in range(-4, 17) for n in range(1, 18)
+               if not found[e, n]]
+    assert not missing
+    assert all(found[e, n] for e in (-6, -5, 17, 18) for n in range(2, 18))
+    shown = {("%.17g" % v).lstrip("-").find(".") for hits in
+             found.values() for v in hits}
+    assert set(range(1, 17)) <= shown
+
+
+def block_straddle_values():
+    """Three blocks of a one-column table, with awkward values on both
+    sides of each boundary between them."""
+    values = np.linspace(-3.0, 7.0, 2 * serialize._BLOCK + 12)
+    edge = [np.nan, 2.0 ** -25, 1e-300, -0.0, 123.5, 1e17, -1e-5, 1e16,
+            0.1, 5e-324]
+    for start in (serialize._BLOCK - 5, 2 * serialize._BLOCK - 5):
+        values[start:start + len(edge)] = edge
+    return values
+
+
 def test_cells_match_percent_format(tmp_path):
-    for name, values in sweep_values().items():
+    rng = np.random.default_rng(24)
+    layouts = layout_values(rng, [*range(-7, 19), -308, -300, -250, -249,
+                                  -101, -100, -99, 99, 100, 101, 249, 250,
+                                  300, 308])
+    sweeps = dict(sweep_values(),
+                  layouts=np.array(sum(layouts.values(), [])),
+                  straddles=block_straddle_values())
+    for name, values in sweeps.items():
         values = np.concatenate([values, -values])
         expected = ["%.17g" % v for v in values.tolist()]
         assert column_text(tmp_path, values) == expected, name
@@ -147,3 +248,88 @@ def test_write_csv_edge_shapes_match_per_cell_formatter(tmp_path):
         serialize.write_csv(path, header, table)
         assert path.read_text(encoding="utf-8") == \
             per_cell_csv(header, table.tolist()), (rows, n_cols)
+
+
+def awkward_document():
+    rng = np.random.default_rng(21)
+    return {
+        "specials": [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e-300, 1e300, -1e300,
+                     1.7976931348623157e308, 0.1, 2.0 ** -25],
+        "numpy scalars": [np.float32(0.1), np.float16(-2.5), np.int64(-7),
+                          np.uint8(200), np.float64(np.nan),
+                          np.longdouble(1.5)],
+        "zero-d": [np.array(2.5), np.array(-3), np.array(1 - 2j),
+                   np.array(np.inf), np.array(True)],
+        "matrix": awkward_values(rng, 20).reshape(4, 5),
+        "cube": np.arange(24.0).reshape(2, 3, 4) / 7.0,
+        "ints": np.arange(-3, 4),
+        "int matrix": np.arange(6, dtype=np.int32).reshape(2, 3),
+        "bools": np.array([[True, False]]),
+        "complex": np.array([1 - 2j, np.nan + 1j, -0.0 - 0.0j]),
+        "complex64": np.array([[0.1 + 0.2j]], np.complex64),
+        "complex scalars": [3 + 4j, np.complex128(-1j),
+                            np.complex64(0.5 + 0.25j)],
+        "objects": np.array([1, "a", 2.5, None], dtype=object),
+        "float32 array": np.array([0.1, 1e-40, np.inf], np.float32),
+        "one value": np.array([-0.0]),
+        "tuple": (1, 2.5, "three", None, True, False),
+        "empty": [[], {}, (), np.array([]), np.zeros((0, 3)),
+                  np.zeros((2, 0)), np.array([], dtype=np.int64), ""],
+        "nested": {"a": {"b": {"c": {"d": [1.5, {"e": [], "f": {}}]}}}},
+        "strings": ["Gr\u00fc\u00dfe, \u2713 \u03bb \U0001f600",
+                    'say "hi"\n\t\\ /', "\u0000\u001f\x7f"],
+        7: "int key", 2.5: "float key", None: "none key",
+        False: "bool key", np.int64(9): [0.1, 0.2], "\u00e9": 1,
+        "float array": awkward_values(rng, 300),
+    }
+
+
+def test_dumps_matches_per_value_reference():
+    doc = awkward_document()
+    assert serialize.dumps(doc) == reference_dumps(doc)
+    for part in doc.values():
+        assert serialize.dumps(part) == reference_dumps(part)
+    matrix = np.arange(12.0).reshape(3, 4) / 7.0
+    complex_matrix = np.arange(6.0).reshape(2, 3) * (1 - 1j)
+    for top in (1.5, np.nan, -0.0, 3, True, None, "text", [], {},
+                np.array([]), np.array(7.25), [[]], [{}], {"": []},
+                [np.float64(2.0)] * 3, np.eye(2), 1j, ["nan", "-inf"],
+                matrix.T, matrix[::-1, ::2], complex_matrix.T,
+                np.asfortranarray(complex_matrix)):
+        assert serialize.dumps(top) == reference_dumps(top), top
+
+
+def test_dumps_awkward_values_in_every_container():
+    rng = np.random.default_rng(22)
+    values = awkward_values(rng, 2000)
+    for doc in (values, values.tolist(), values.reshape(40, 50),
+                {"x": list(values[:100]), "y": values[100:].reshape(-1, 2)},
+                [{"v": v} for v in values[:50]]):
+        assert serialize.dumps(doc) == reference_dumps(doc)
+    assert json.loads(serialize.dumps(values))[20:25] == \
+        json.loads(json.dumps(values[20:25].tolist()))
+
+
+def test_dumps_numpy_bools():
+    doc = {"x": np.True_, "y": [np.False_, np.bool_(True)],
+           "z": np.array(False)}
+    assert serialize.dumps(doc) == reference_dumps(
+        {"x": True, "y": [False, True], "z": False})
+    assert json.loads(serialize.dumps(doc)) == \
+        {"x": True, "y": [False, True], "z": False}
+
+
+def test_dumps_rejects_unknown_types():
+    for bad in (object(), {1, 2}, b"bytes", {"a": [object()]}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            serialize.dumps(bad)
+
+
+def test_json_round_trip(tmp_path):
+    doc = {"a": np.array([0.1, -2.0, np.nan]), "b": {"c": [1, None]}}
+    path = tmp_path / "doc.json"
+    serialize.json_dump(path, doc)
+    assert path.read_text(encoding="utf-8") == reference_dumps(doc)
+    assert serialize.json_load(path) == \
+        {"a": [0.1, -2.0, "nan"], "b": {"c": [1, None]}}

@@ -61,7 +61,6 @@ from .riccati import (
     build_shifted,
     certify_decay,
     embed_initial,
-    feedback_gain_to_control,
     make_closed_loop,
     rayleigh_bounds,
     shifted_coefficients,

@@ -23,6 +23,7 @@ from . import fluids, riccati, serialize, simulate, spectral, synthesis
 from .exceptions import (
     ConfigError,
     DecayViolationError,
+    DegenerateSpectrumError,
     PidestabError,
     RankConditionError,
 )
@@ -332,12 +333,21 @@ def _sim_grid(sc: Scenario) -> np.ndarray:
 
 
 def cmd_analyze(scenario: Scenario) -> dict:
-    """Roots, growth bound, degeneracy report and rate partition."""
+    """Roots, growth bound, degeneracy report and rate partition.
+
+    The report is written for a degenerate spectrum too; unless the
+    scenario allows degeneracy, the command then raises
+    :class:`DegenerateSpectrumError`.
+    """
     ctx = prepare(scenario)
     kernel = ctx.kernel
     omega0 = spectral.growth_bound(kernel)
+    part = spectral.partition_spectrum(ctx.spectrum, kernel, scenario.gamma,
+                                       check_degenerate=False)
     entries = ctx.spectrum.entries
-    roots = spectral.modal_roots(np.array([e.lam for e in entries]), kernel)
+    # each entry's roots sit at its first mode in the expanded order
+    first = np.cumsum([0] + [e.multiplicity for e in entries[:-1]])
+    roots = part.roots
     modes = [{
         "label": entry.label,
         "lambda": entry.lam,
@@ -346,18 +356,14 @@ def cmd_analyze(scenario: Scenario) -> dict:
         "mu_minus": [mu_m.real, mu_m.imag],
         "real_roots": real,
     } for entry, mu_p, mu_m, real in zip(
-        entries, roots.mu_plus.tolist(), roots.mu_minus.tolist(),
-        roots.is_real.tolist())]
+        entries, roots.mu_plus[first].tolist(),
+        roots.mu_minus[first].tolist(), roots.is_real[first].tolist())]
     degeneracies = [{
         "kind": v.kind,
         "labels": list(v.labels),
         "value": [v.value.real, v.value.imag],
         "separation": v.separation,
-    } for v in spectral.check_degeneracy(ctx.spectrum, kernel)]
-
-    part = spectral.partition_spectrum(
-        ctx.spectrum, kernel, scenario.gamma,
-        check_degenerate=not scenario.allow_degenerate)
+    } for v in part.degeneracies]
     report = {
         "omega0": omega0,
         "kernel": {"b": kernel.b, "delta": kernel.delta},
@@ -383,6 +389,10 @@ def cmd_analyze(scenario: Scenario) -> dict:
     if degeneracies:
         print(f"degeneracies: {len(degeneracies)} "
               f"({', '.join(d['kind'] for d in degeneracies)})")
+        if not scenario.allow_degenerate:
+            raise DegenerateSpectrumError(
+                "degenerate root structure; synthesis preconditions fail",
+                report=part.degeneracies)
     return report
 
 
@@ -477,7 +487,12 @@ def cmd_synthesize(scenario: Scenario) -> dict:
 # simulate
 
 
-def _load_controller(ctx: RunContext, path) -> tuple:
+def _load_controller(ctx: RunContext, path,
+                     part: spectral.UnstablePartition | None) -> tuple:
+    """Solution and actuators of a controller file, checked against the
+    scenario.  ``part`` is the scenario's partition when the caller has
+    one; otherwise it is computed here, and a failure to partition only
+    keeps the stored actuator rows."""
     doc = serialize.json_load(path)
     k = int(doc["truncation_k"])
     m = int(doc["m_actuators"])
@@ -508,7 +523,8 @@ def _load_controller(ctx: RunContext, path) -> tuple:
     # prefer the scenario's own actuator construction when it agrees with
     # the stored projection rows; it carries the tail-mode rows
     try:
-        part = _partition(ctx)
+        if part is None:
+            part = _partition(ctx)
         scenario_acts = _build_actuators(ctx, part)
         if scenario_acts.count == m and np.allclose(
                 scenario_acts.rows(k), c_km, rtol=0.0, atol=1e-12):
@@ -531,7 +547,7 @@ def cmd_simulate(scenario: Scenario, controller=None) -> dict:
     solution = None
     actuators = None
     if controller is not None:
-        solution, actuators = _load_controller(ctx, controller)
+        solution, actuators = _load_controller(ctx, controller, None)
 
     if ctx.forcing is None:
         if solution is None:
@@ -646,7 +662,7 @@ def cmd_certify(scenario: Scenario, controller=None) -> dict:
     if not path.exists():
         raise ConfigError(
             f"controller file {path} not found; run synthesize first")
-    solution, actuators = _load_controller(ctx, path)
+    solution, actuators = _load_controller(ctx, path, part)
 
     try:
         cert = riccati.certify_decay(solution, ctx.spectrum, ctx.kernel,

@@ -32,7 +32,7 @@ from .exceptions import (
     NotStabilizableError,
     SolverFailureError,
 )
-from .spectral import MemoryKernel, Spectrum, partition_spectrum
+from .spectral import MemoryKernel, Spectrum, _slow_counts, modal_roots
 from .simulate import Trajectory, fit_decay_rate, simulate_ode
 from .synthesis import ActuatorSet, pbh_rank_loss
 
@@ -94,12 +94,8 @@ def build_shifted(spectrum: Spectrum, kernel: MemoryKernel, gamma: float,
         raise GammaExceedsDeltaError(
             f"target rate gamma={gamma:g} must stay below the kernel decay "
             f"delta={kernel.delta:g}")
-    if gamma == 0.0:
-        n_slow = 0
-    else:
-        part = partition_spectrum(spectrum, kernel, gamma,
-                                  check_degenerate=False)
-        n_slow = part.n_total
+    n_slow = max(_slow_counts(modal_roots(spectrum.expanded()[0], kernel),
+                              gamma))
     total = spectrum.n_modes
     if truncation_k is None:
         k = min(max(2 * n_slow, DEFAULT_MIN_K), total)
@@ -310,21 +306,6 @@ def solve_are(shifted: ShiftedSystem) -> RiccatiSolution:
                            raw_residual=raw_residual, newton_steps=steps)
 
 
-def feedback_gain_to_control(solution: RiccatiSolution, state,
-                             actuators: ActuatorSet | None = None) -> np.ndarray:
-    """Actuator amplitudes of the feedback law at one (shifted) state."""
-    state = np.asarray(state, dtype=float).reshape(-1)
-    if state.size != solution.gain.shape[1]:
-        raise DimensionMismatchError(
-            f"state has dimension {state.size}, gain expects "
-            f"{solution.gain.shape[1]}")
-    if actuators is not None and actuators.count != solution.gain.shape[0]:
-        raise DimensionMismatchError(
-            f"gain drives {solution.gain.shape[0]} actuators, "
-            f"set provides {actuators.count}")
-    return -(solution.gain @ state)
-
-
 class ShiftedStateFeedback:
     """Linear realization of the gain in original variables.
 
@@ -392,19 +373,6 @@ class ClosedLoopRun:
     z_tilde: np.ndarray   # (samples, K)
     w_tilde: np.ndarray   # (samples, M)
     solution: RiccatiSolution
-
-    def to_trajectory(self, frac_alpha: float | None = None) -> Trajectory:
-        sol = self.solution
-        k = sol.truncation_k
-        decay = np.exp(-sol.gamma * self.grid)[:, None]
-        alpha = decay * self.xi[:, :k]
-        z = decay * self.z_tilde
-        controls = (decay * self.v_tilde) @ sol.system.c_km.T
-        return Trajectory(
-            grid=self.grid, alpha=alpha, z=z, lambdas=sol.system.lambdas,
-            controls=controls,
-            control_labels=tuple(f"u_{i+1}" for i in range(k)),
-            frac_alpha=sol.alpha if frac_alpha is None else frac_alpha)
 
     def shifted_cost(self) -> float:
         """Simpson value of the LQR cost integral along the run."""
@@ -543,6 +511,9 @@ def certify_decay(solution: RiccatiSolution, spectrum: Spectrum,
             f"{solution.gamma:g}")
     sys = solution.system
     k = sys.truncation_k
+    # zero-padded to the design modes; more modes than K raise
+    xi0 = embed_initial(solution, y0)
+    y0 = xi0[:k]
     if actuators is None:
         actuators = ActuatorSet(count=sys.m_actuators,
                                 modal_coefficients=sys.c_km,
@@ -551,15 +522,11 @@ def certify_decay(solution: RiccatiSolution, spectrum: Spectrum,
     if samples is None:
         samples = max(801, int(round(t_max / 0.01)) + 1)
     grid = np.linspace(0.0, t_max, samples)
-    y0 = np.asarray(y0, dtype=float).reshape(-1)
-    if y0.size < k:
-        y0 = np.concatenate([y0, np.zeros(k - y0.size)])
     traj = simulate_ode(spectrum, kernel, y0, controller, grid,
                         frac_alpha=solution.alpha)
     fit = fit_decay_rate(traj, "a_alpha_minus_half",
                          window=(t_max / 2.0, t_max))
     weighted = traj.weighted_energy(solution.alpha, rate=gamma)
-    xi0 = embed_initial(solution, y0)
     quad_form = float(xi0 @ solution.r_matrix @ xi0)
     a1, a2 = rayleigh_bounds(solution)
     init_sq = float(np.sum(sys.lambdas ** (2.0 * solution.alpha - 1.0)

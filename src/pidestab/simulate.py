@@ -615,9 +615,6 @@ class TranslatedSystem:
     forcing: ForcingField
     y_e: np.ndarray
 
-    def translate_initial(self, y0) -> np.ndarray:
-        return np.asarray(y0, dtype=float).reshape(-1) - self.y_e
-
 
 def translate_system(forcing: ForcingField, y_e,
                      kernel: MemoryKernel) -> TranslatedSystem:

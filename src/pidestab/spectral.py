@@ -73,12 +73,6 @@ def beta_eval(kernel: MemoryKernel, t):
     return kernel.b * np.exp(-kernel.delta * np.asarray(t, dtype=float))
 
 
-def integrated_beta(kernel: MemoryKernel, t):
-    """``int_0^t beta(s) ds``, useful for steady-state bookkeeping."""
-    t = np.asarray(t, dtype=float)
-    return kernel.b / kernel.delta * (1.0 - np.exp(-kernel.delta * t))
-
-
 def growth_bound(kernel: MemoryKernel) -> float:
     """Supremum of decay rates attainable by feedback, ``b + delta``.
 
@@ -342,6 +336,11 @@ class UnstablePartition:
         gamma`` for the unlisted tail.
     lambdas : numpy.ndarray
         Controlled-mode eigenvalues expanded by multiplicity.
+    degeneracies : tuple[DegeneracyViolation, ...]
+        The :func:`check_degeneracy` report of the whole spectrum, kept
+        whether or not it was allowed to pass.
+    roots : ModalRootPair
+        Decay roots of every mode, expanded by multiplicity.
     """
 
     gamma: float
@@ -353,16 +352,33 @@ class UnstablePartition:
     unstable_labels: tuple
     stable_margin: float
     lambdas: np.ndarray = field(repr=False)
+    degeneracies: tuple
+    roots: ModalRootPair = field(repr=False)
 
     @property
     def group_sizes(self):
         return tuple(g.multiplicity for g in self.groups)
 
 
+def _slow_counts(roots: ModalRootPair, gamma: float) -> tuple:
+    """``(n1, n2)``: the last mode (1-based) whose fast / slow root has
+    real part at or below ``gamma``, 0 when none has."""
+    def last_index_at_or_below(values) -> int:
+        hits = np.nonzero(values <= gamma)[0]
+        return int(hits[-1]) + 1 if hits.size else 0
+
+    return (last_index_at_or_below(roots.mu_plus.real),
+            last_index_at_or_below(roots.mu_minus.real))
+
+
 def partition_spectrum(spectrum: Spectrum, kernel: MemoryKernel,
                        gamma: float, *, tol: float = DEGENERACY_TOL,
                        check_degenerate: bool = True) -> UnstablePartition:
     """Partition a spectrum at target decay rate ``gamma``.
+
+    This is the one spectral pass of a design: it scans the spectrum
+    for degeneracies and computes the root pair of every mode once, and
+    keeps both on the result for the later stages.
 
     Parameters
     ----------
@@ -373,7 +389,8 @@ def partition_spectrum(spectrum: Spectrum, kernel: MemoryKernel,
     check_degenerate : bool
         When true (default) a nonempty degeneracy report aborts with
         :class:`DegenerateSpectrumError`.  Synthesis paths that opt in
-        to degenerate spectra disable the check explicitly.
+        to degenerate spectra disable the check explicitly; the report
+        is kept on the partition either way.
 
     Notes
     -----
@@ -385,23 +402,15 @@ def partition_spectrum(spectrum: Spectrum, kernel: MemoryKernel,
     if not (0.0 < gamma < bound):
         raise GammaOutOfRangeError(
             f"gamma={gamma} outside the admissible range (0, {bound})")
-    if check_degenerate:
-        report = check_degeneracy(spectrum, kernel, tol)
-        if report:
-            raise DegenerateSpectrumError(
-                "degenerate root structure; synthesis preconditions fail",
-                report=report)
+    report = check_degeneracy(spectrum, kernel, tol)
+    if check_degenerate and report:
+        raise DegenerateSpectrumError(
+            "degenerate root structure; synthesis preconditions fail",
+            report=report)
 
     lams, _ = spectrum.expanded()
     roots = modal_roots(lams, kernel, tol)
-    re_plus, re_minus = roots.mu_plus.real, roots.mu_minus.real
-
-    def last_index_at_or_below(values) -> int:
-        hits = np.nonzero(values <= gamma)[0]
-        return int(hits[-1]) + 1 if hits.size else 0
-
-    n1 = last_index_at_or_below(re_plus)
-    n2 = last_index_at_or_below(re_minus)
+    n1, n2 = _slow_counts(roots, gamma)
     n_total = max(n1, n2)
 
     groups = []
@@ -418,7 +427,9 @@ def partition_spectrum(spectrum: Spectrum, kernel: MemoryKernel,
     margin = bound - gamma
     if n_total < lams.size:
         tail = slice(n_total, None)
-        tail_margin = float(np.min(np.minimum(re_plus[tail], re_minus[tail])) - gamma)
+        tail_margin = float(np.min(np.minimum(roots.mu_plus.real[tail],
+                                              roots.mu_minus.real[tail]))
+                            - gamma)
         margin = min(margin, tail_margin)
 
     return UnstablePartition(
@@ -431,35 +442,6 @@ def partition_spectrum(spectrum: Spectrum, kernel: MemoryKernel,
         unstable_labels=tuple(g.label for g in groups),
         stable_margin=margin,
         lambdas=lams[:n_total].copy(),
+        degeneracies=tuple(report),
+        roots=roots,
     )
-
-
-def kernel_quadratic_form(kernel: MemoryKernel, values, t_star: float = 1.0):
-    """Double-convolution quadratic form of a piecewise-constant signal.
-
-    Evaluates ``int_0^{t*} int_0^t beta(t-s) phi(s) phi(t) ds dt`` for
-    ``phi`` constant on equal cells covering ``[0, t_star]``.  Cellwise
-    integration of the exponential is available in closed form, so the
-    value is exact up to rounding.  The form is nonnegative for every
-    admissible kernel, which is the property the memory estimates rest
-    on.
-    """
-    phi = np.asarray(values, dtype=float)
-    n = phi.size
-    if n == 0 or t_star <= 0:
-        return 0.0
-    h = t_star / n
-    d = kernel.delta
-    decay = math.exp(-d * h)
-    # diagonal cells: triangular region {s < t} inside one cell
-    diag = kernel.b * (h - (1.0 - decay) / d) / d
-    total = diag * float(np.dot(phi, phi))
-    # strictly lower cells: full rectangle with the kernel bridging the gap
-    edge_factor = kernel.b * (1.0 - decay) ** 2 / (d * d)
-    # gap of g cells contributes decay**(g-1); accumulate with a scan
-    if n > 1:
-        powers = decay ** np.arange(n - 1)
-        for gap in range(1, n):
-            coupling = edge_factor * powers[gap - 1]
-            total += coupling * float(np.dot(phi[gap:], phi[:-gap]))
-    return total

@@ -33,13 +33,7 @@ from .exceptions import (
     IllConditionedTransformError,
 )
 from .jordan import EigenCluster, jordan_form
-from .spectral import (
-    MemoryKernel,
-    Spectrum,
-    UnstablePartition,
-    check_degeneracy,
-    modal_roots,
-)
+from .spectral import MemoryKernel, Spectrum, UnstablePartition
 
 RANK_RTOL = 1e-10
 COND_LIMIT = 1e12
@@ -196,15 +190,17 @@ def build_companion(partition: UnstablePartition, kernel: MemoryKernel,
                     allow_degenerate: bool = False) -> CompanionSystem:
     """Assemble the companion system of the controlled block.
 
-    ``allow_degenerate`` lets spectra with coincident per-mode roots
-    through (their transform takes the chain path); collisions between
-    different modes are always rejected since no grouping makes the
-    steering argument sound for them.
+    The degeneracy report comes from the partition.  ``allow_degenerate``
+    lets spectra with coincident per-mode roots through (their transform
+    takes the chain path); collisions between different modes are always
+    rejected since no grouping makes the steering argument sound for
+    them.  ``spectrum`` is unused: the partition carries what it gave,
+    and the argument stays for callers that pass it by position, the
+    benchmark among them.
     """
     n = partition.n_total
     lams = partition.lambdas
-    report = check_degeneracy(spectrum, kernel)
-    blockers = [v for v in report
+    blockers = [v for v in partition.degeneracies
                 if v.kind != "double_root" or not allow_degenerate]
     if blockers:
         raise DegenerateSpectrumError(
@@ -273,18 +269,23 @@ def transform_matrix_system(p, q, *,
 
 
 def transform_and_group(companion: CompanionSystem,
-                        partition: UnstablePartition | None = None
-                        ) -> TransformedSystem:
+                        partition: UnstablePartition) -> TransformedSystem:
     """Diagonalize the companion system and slice the input per cluster.
 
-    For non-degenerate spectra the eigenvector matrix is known in closed
-    form (each mode contributes the pair ``(e_j, -mu e_j)``), giving the
-    ordering fast roots first, slow roots second, grouped by distinct
-    eigenvalue.  If any mode carries a (near-)double root, or distinct
-    modes share a root so the closed-form clusters would collide, the
-    generic chain path takes over.
+    ``companion`` must be built on ``partition``, whose root pairs and
+    group sizes of the controlled modes this reads.  For non-degenerate
+    spectra the eigenvector matrix is known in closed form (each mode
+    contributes the pair ``(e_j, -mu e_j)``), giving the ordering fast
+    roots first, slow roots second, grouped by distinct eigenvalue.  If
+    any mode carries a (near-)double root, or distinct modes share a
+    root so the closed-form clusters would collide, the generic chain
+    path takes over.
     """
     n = companion.n_modes
+    if n != partition.n_total:
+        raise DimensionMismatchError(
+            f"companion has {n} modes, the partition controls "
+            f"{partition.n_total}")
     if n == 0:
         return TransformedSystem(
             r_matrix=np.zeros((0, 0), complex),
@@ -292,23 +293,11 @@ def transform_and_group(companion: CompanionSystem,
             q_bar=np.zeros((0, companion.m_actuators), complex),
             clusters=(), slices=(), semisimple=True, condition=1.0)
 
-    roots = modal_roots(companion.lambdas, companion.kernel)
-    mu_p, mu_m = roots.mu_plus, roots.mu_minus
+    roots = partition.roots
+    mu_p, mu_m = roots.mu_plus[:n], roots.mu_minus[:n]
+    sizes = partition.group_sizes
 
-    sizes = None
-    if partition is not None and partition.n_total == n:
-        sizes = partition.group_sizes
-    else:
-        sizes = []
-        for lam in companion.lambdas:
-            if sizes and lam == companion.lambdas[sum(sizes) - 1]:
-                # consecutive equal eigenvalues extend the current group
-                sizes[-1] += 1
-            else:
-                sizes.append(1)
-        sizes = tuple(sizes)
-
-    fused = bool(roots.is_degenerate.any())
+    fused = bool(roots.is_degenerate[:n].any())
     # each root gap is real or purely imaginary, so np.abs is exact here
     analytic_ok = not fused and bool(
         np.all(np.abs(mu_p - mu_m) > COLLISION_TOL))
@@ -410,7 +399,9 @@ def rank_conditions(transformed: TransformedSystem,
     transformed input matrix: it must equal the number of chains.  For
     diagonalizable clusters every row is a chain end and the requirement
     is the full multiplicity.  The report is plain data; callers decide
-    whether failure is an error.
+    whether failure is an error.  ``partition`` is unused: the clusters
+    of ``transformed`` carry the grouping, and the argument stays for
+    callers that pass it by position, the benchmark among them.
     """
     entries = []
     for cluster in transformed.clusters:

@@ -1,8 +1,11 @@
-"""The benchmark's tracer wraps functions of the program by name.
+"""The benchmark calls into the program; these tests keep the two in step.
 
 ``perfbench/spans.py`` looks up every name in its ``TRACED`` table with
 no default, so a function renamed or removed here breaks every traced
-benchmark run.  This test keeps the two in step.
+benchmark run.  ``perfbench/workloads.py`` calls the library by position
+and drives ``cli.main``, so a changed signature or exit code breaks every
+run of its workloads; one warm-up scenario of each, with the benchmark's
+own checks, catches that here.
 """
 
 import importlib
@@ -10,7 +13,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_every_traced_name_resolves(monkeypatch):
@@ -25,3 +31,10 @@ def test_every_traced_name_resolves(monkeypatch):
                if not callable(getattr(
                    importlib.import_module(f"pidestab.{layer}"), name, None))]
     assert not missing
+
+
+@pytest.mark.parametrize("name", ["design", "closed_loop_cli"])
+def test_benchmark_warm_up_runs_and_checks(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workloads.WORKLOADS[name](0, tmp_path).warm_up()

@@ -176,6 +176,29 @@ def test_analyze_gamma_at_growth_bound(tmp_path, capsys):
     assert "GammaOutOfRangeError" in capsys.readouterr().err
 
 
+def test_analyze_degenerate_writes_report_then_fails(tmp_path, capsys):
+    # the double root at lam = 3 - 2 sqrt(2) (b = delta = 1) blocks
+    # synthesis; analyze writes what it found, then exits 2
+    doc = {
+        "spectrum": {"kind": "user", "values": [3.0 - 2.0 * math.sqrt(2.0)]},
+        "kernel": {"b": 1.0, "delta": 1.0},
+        "gamma": 0.7,
+        "out": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["analyze", "--config", cfg]) == 2
+    assert "DegenerateSpectrumError" in capsys.readouterr().err
+    written = (tmp_path / "out" / "analysis.json").read_bytes()
+    report = json.loads(written)
+    assert [d["kind"] for d in report["degeneracies"]] == ["double_root"]
+    assert len(report["modes"]) == 1
+    assert report["partition"]["n"] == 1
+    # allowing the degeneracy changes the exit code, not the report
+    allowed = write_config(tmp_path, dict(doc, allow_degenerate=True),
+                           name="allowed.json")
+    assert cli.main(["analyze", "--config", allowed]) == 0
+    assert (tmp_path / "out" / "analysis.json").read_bytes() == written
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 

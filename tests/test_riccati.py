@@ -32,7 +32,6 @@ from pidestab import (
     certify_decay,
     default_actuators,
     embed_initial,
-    feedback_gain_to_control,
     make_closed_loop,
     modal_roots,
     partition_spectrum,
@@ -349,29 +348,6 @@ def test_truncation_stability_of_the_gain():
     assert np.max(np.abs(lead - g16)) < 1e-6
 
 
-# ---------------------------------------------------------------------------
-# feedback evaluation
-
-
-def test_feedback_gain_to_control_scalar_and_linearity():
-    sol = solve_are(synthetic_system([[1.0]], [[1.0]], [[2.0]]))
-    u = feedback_gain_to_control(sol, [1.0])
-    assert u[0] == pytest.approx(-(1.0 + math.sqrt(3.0)), rel=1e-10)
-    np.testing.assert_allclose(feedback_gain_to_control(sol, [2.0]), 2.0 * u,
-                               rtol=1e-14)
-    zero = solve_are(synthetic_system([[-1.0]], [[1.0]], [[0.0]]))
-    assert feedback_gain_to_control(zero, [3.0])[0] == 0.0
-
-
-def test_feedback_gain_dimension_guards():
-    _, _, acts, sol = headline_solution(truncation_k=4, n_modes=4)
-    with pytest.raises(DimensionMismatchError):
-        feedback_gain_to_control(sol, np.ones(5))
-    wrong = ActuatorSet(count=2, modal_coefficients=np.ones((4, 2)))
-    with pytest.raises(DimensionMismatchError):
-        feedback_gain_to_control(sol, np.ones(8), actuators=wrong)
-
-
 def test_embed_initial_layout():
     _, _, _, sol = headline_solution(truncation_k=4, n_modes=4)
     xi = embed_initial(sol, [1.0, -2.0])
@@ -472,6 +448,15 @@ def test_certify_rejects_mismatched_rate():
         certify_decay(sol, spectrum, kernel, 1.5, np.ones(4), t_max=4.0)
 
 
+def test_certify_rejects_initial_data_beyond_the_design_modes():
+    # a K = 16 design on 32 modes: initial data on all 32 modes cannot
+    # seed the design-mode loop, and the error names both sizes
+    spectrum, kernel, _, sol = headline_solution(truncation_k=16, n_modes=32)
+    with pytest.raises(DimensionMismatchError, match="32 modes.*retains 16"):
+        certify_decay(sol, spectrum, kernel, HEADLINE_RATE, np.ones(32),
+                      t_max=4.0)
+
+
 def test_exponential_route_matches_simulate_ode():
     # with the design modes only (n = K) the original-frame propagation
     # of certify_decay and the shifted-frame run are the same linear
@@ -482,10 +467,15 @@ def test_exponential_route_matches_simulate_ode():
     cert = certify_decay(sol, spectrum, kernel, HEADLINE_RATE, y0,
                          t_max=t_max, samples=601)
     run = simulate_closed_loop(sol, y0, t_max=t_max, samples=601)
-    expm_traj = run.to_trajectory()
-    for field in ("alpha", "z", "controls"):
+    # back to the original frame: every shifted state times e^{-gamma t}
+    decay = np.exp(-sol.gamma * run.grid)[:, None]
+    theirs_by_field = {
+        "alpha": decay * run.xi[:, :sol.truncation_k],
+        "z": decay * run.z_tilde,
+        "controls": (decay * run.v_tilde) @ sol.system.c_km.T,
+    }
+    for field, theirs in theirs_by_field.items():
         ours = getattr(cert.trajectory, field)
-        theirs = getattr(expm_traj, field)
         assert np.max(np.abs(ours - theirs)) <= \
             1e-10 * np.max(np.abs(theirs))
 

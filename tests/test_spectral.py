@@ -22,7 +22,7 @@ from pidestab import (
     modal_roots,
     partition_spectrum,
 )
-from pidestab.spectral import beta_eval, integrated_beta, kernel_quadratic_form
+from pidestab.spectral import beta_eval
 
 RNG = np.random.default_rng(20240817)
 
@@ -48,32 +48,11 @@ def test_beta_closed_forms():
     k = MemoryKernel(b=1.5, delta=0.7)
     t = np.linspace(0.0, 4.0, 17)
     np.testing.assert_allclose(beta_eval(k, t), 1.5 * np.exp(-0.7 * t))
-    np.testing.assert_allclose(integrated_beta(k, t),
-                               1.5 / 0.7 * (1.0 - np.exp(-0.7 * t)))
 
 
 def test_growth_bound_is_b_plus_delta():
     assert growth_bound(MemoryKernel(b=1.0, delta=4.0)) == 5.0
     assert growth_bound(MemoryKernel(b=0.0, delta=0.5)) == 0.5
-
-
-def test_kernel_quadratic_form_constant_signal():
-    # phi == 1 on [0, T]: the double integral reduces to
-    # b/delta * (T - (1 - e^{-delta T})/delta)
-    k = MemoryKernel(b=2.0, delta=3.0)
-    t_star = 1.25
-    exact = k.b / k.delta * (t_star - (1.0 - math.exp(-k.delta * t_star))
-                             / k.delta)
-    got = kernel_quadratic_form(k, np.ones(64), t_star)
-    assert got == pytest.approx(exact, rel=1e-12)
-
-
-def test_kernel_quadratic_form_nonnegative():
-    rng = np.random.default_rng(7)
-    k = MemoryKernel(b=0.8, delta=1.3)
-    for _ in range(20):
-        phi = rng.normal(size=32)
-        assert kernel_quadratic_form(k, phi, 2.0) >= -1e-12
 
 
 # ---------------------------------------------------------------------------

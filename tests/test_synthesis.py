@@ -197,6 +197,17 @@ def test_transform_is_a_similarity():
     assert np.abs(off).max() < 1e-10
 
 
+def test_transform_refuses_a_companion_of_another_partition():
+    # the roots come from the partition, so a companion built on another
+    # split must not be read against the wrong modes
+    k = MemoryKernel(b=1.0, delta=4.0)
+    _, _, _, comp = make_setup([0.5, 1.2], k, 2.0)
+    _, other, _, _ = make_setup([0.5, 9.0], k, 2.0)
+    assert comp.n_modes != other.n_total
+    with pytest.raises(DimensionMismatchError):
+        transform_and_group(comp, other)
+
+
 def test_transform_jordan_path_for_double_root():
     b, delta = 1.0, 1.0
     k = MemoryKernel(b=b, delta=delta)

@@ -68,13 +68,12 @@ from .riccati import (
     solve_are,
 )
 from .simulate import (
-    ActuatorControl,
     ForcingField,
     RateFit,
     Trajectory,
     ZeroSignal,
+    control_shift,
     fit_decay_rate,
-    shift_control_for_forcing,
     simulate_exact,
     simulate_ode,
     steady_state,

@@ -534,8 +534,32 @@ def _load_controller(ctx: RunContext, path,
     return solution, actuators
 
 
+def _steady_state(ctx: RunContext, doc: dict) -> np.ndarray:
+    """Steady state y_e of the scenario's forcing, zero without one; a
+    forced run records its norm in ``doc``."""
+    if ctx.forcing is None:
+        return np.zeros(ctx.spectrum.n_modes)
+    y_e = simulate.steady_state(ctx.forcing, ctx.spectrum, ctx.kernel)
+    doc["y_e_norm"] = float(np.linalg.norm(y_e))
+    return y_e
+
+
+def _control_shift(ctx: RunContext, y_e, actuators, grid) -> tuple:
+    """Control shift that cancels the translated forcing on ``grid``,
+    with its largest range residual (``simulate.control_shift``)."""
+    residual = simulate.translate_system(ctx.forcing, y_e, ctx.kernel).forcing
+    return simulate.control_shift(
+        residual, actuators.rows(ctx.spectrum.n_modes), grid)
+
+
 def cmd_simulate(scenario: Scenario, controller=None) -> dict:
-    """Open- or closed-loop run, with optional forcing translation."""
+    """Open- or closed-loop run, with optional forcing translation.
+
+    Under feedback a forcing is cancelled by the control shift: the
+    feedback acts on the deviation from the steady state y_e, the
+    control columns carry feedback plus shift, and forcing outside the
+    actuator range raises :class:`ForcingRangeError`.
+    """
     ctx = prepare(scenario)
     sc = scenario
     grid = _sim_grid(sc)
@@ -543,63 +567,40 @@ def cmd_simulate(scenario: Scenario, controller=None) -> dict:
     y0 = _initial_state(ctx)
     n = ctx.spectrum.n_modes
     report: dict = {"t_max": float(grid[-1]), "samples": int(grid.size)}
+    forced = "" if ctx.forcing is None else "forced_"
+    y_e = _steady_state(ctx, report)
 
-    solution = None
-    actuators = None
-    if controller is not None:
-        solution, actuators = _load_controller(ctx, controller, None)
-
-    if ctx.forcing is None:
-        if solution is None:
-            traj = simulate.simulate_ode(
-                ctx.spectrum, ctx.kernel, y0, simulate.ZeroSignal(n), grid,
-                frac_alpha=sc.alpha)
-            report["mode"] = "open_loop"
-        else:
-            feedback = riccati.make_closed_loop(solution, actuators,
-                                                ctx.kernel, n)
-            traj = simulate.simulate_ode(ctx.spectrum, ctx.kernel, y0,
-                                         feedback, grid,
-                                         frac_alpha=solution.alpha)
-            report["mode"] = "closed_loop"
-        deviation = traj
-        y_e = np.zeros(n)
+    if controller is None:
+        traj = simulate.simulate_ode(ctx.spectrum, ctx.kernel, y0,
+                                     simulate.ZeroSignal(n), grid,
+                                     forcing=ctx.forcing, frac_alpha=sc.alpha)
+        report["mode"] = forced + "open_loop"
+        deviation = simulate.Trajectory(
+            grid=grid, alpha=traj.alpha - y_e[None, :], z=traj.z,
+            lambdas=traj.lambdas, frac_alpha=sc.alpha)
     else:
-        y_e = simulate.steady_state(ctx.forcing, ctx.spectrum, ctx.kernel)
-        report["y_e_norm"] = float(np.linalg.norm(y_e))
-        if solution is None:
-            traj = simulate.simulate_ode(ctx.spectrum, ctx.kernel, y0,
-                                         simulate.ZeroSignal(n), grid,
-                                         forcing=ctx.forcing,
-                                         frac_alpha=sc.alpha)
-            report["mode"] = "forced_open_loop"
-            deviation = simulate.Trajectory(
-                grid=traj.grid, alpha=traj.alpha - y_e[None, :],
-                z=traj.z, lambdas=traj.lambdas, frac_alpha=sc.alpha)
-        else:
-            translated = simulate.translate_system(ctx.forcing, y_e,
-                                                   ctx.kernel)
-            y0_hat = y0 - y_e
-            feedback = riccati.make_closed_loop(solution, actuators,
-                                                ctx.kernel, n)
-            traj_hat = simulate.simulate_ode(ctx.spectrum, ctx.kernel,
-                                             y0_hat, feedback, grid,
-                                             frac_alpha=solution.alpha)
+        solution, actuators = _load_controller(ctx, controller, None)
+        feedback = riccati.make_closed_loop(solution, actuators, ctx.kernel, n)
+        deviation = simulate.simulate_ode(ctx.spectrum, ctx.kernel, y0 - y_e,
+                                          feedback, grid,
+                                          frac_alpha=solution.alpha)
+        traj = deviation
+        report["mode"] = forced + "closed_loop"
+        if ctx.forcing is not None:
+            shift, range_residual = _control_shift(ctx, y_e, actuators, grid)
             # map the translated run back: y = y_hat + y_e, and the memory
             # variable of the constant part fills in as (1-e^{-dt})/d
             fill = (1.0 - np.exp(-ctx.kernel.delta * grid)) / ctx.kernel.delta
             traj = simulate.Trajectory(
-                grid=grid,
-                alpha=traj_hat.alpha + y_e[None, :],
-                z=traj_hat.z + fill[:, None] * y_e[None, :],
-                lambdas=traj_hat.lambdas,
-                controls=traj_hat.controls,
-                control_labels=traj_hat.control_labels,
+                grid=grid, alpha=deviation.alpha + y_e[None, :],
+                z=deviation.z + fill[:, None] * y_e[None, :],
+                lambdas=deviation.lambdas,
+                controls=deviation.controls + shift,
+                control_labels=deviation.control_labels,
                 frac_alpha=solution.alpha)
-            deviation = traj_hat
-            report["mode"] = "forced_closed_loop"
             report["final_deviation"] = float(
-                np.linalg.norm(traj_hat.alpha[-1]))
+                np.linalg.norm(deviation.alpha[-1]))
+            report["range_residual"] = range_residual
 
     serialize.trajectory_csv(out / "trajectory.csv", traj)
     serialize.decay_curve_csv(out / "decay_curve.csv", deviation)
@@ -624,7 +625,12 @@ def cmd_simulate(scenario: Scenario, controller=None) -> dict:
 
 
 def cmd_certify(scenario: Scenario, controller=None) -> dict:
-    """Machine-readable decay certificate for the configured target rate."""
+    """Machine-readable decay certificate for the configured target rate.
+
+    A forcing is translated away as in :func:`cmd_simulate`: the run
+    starts from y0 - y_e, and under feedback the forcing must pass the
+    same actuator range check.
+    """
     ctx = prepare(scenario)
     sc = scenario
     out = _out_dir(sc)
@@ -632,13 +638,18 @@ def cmd_certify(scenario: Scenario, controller=None) -> dict:
     t_max = _t_max(sc)
     part = _partition(ctx)
     y0 = _initial_state(ctx)
+    n = ctx.spectrum.n_modes
+    forced: dict = {}
+    y_e = _steady_state(ctx, forced)
 
     if part.n_total == 0:
         grid = _sim_grid(sc)
-        n = ctx.spectrum.n_modes
         traj = simulate.simulate_ode(ctx.spectrum, ctx.kernel, y0,
                                      simulate.ZeroSignal(n), grid,
-                                     frac_alpha=sc.alpha)
+                                     forcing=ctx.forcing, frac_alpha=sc.alpha)
+        traj = simulate.Trajectory(
+            grid=grid, alpha=traj.alpha - y_e[None, :], z=traj.z,
+            lambdas=traj.lambdas, frac_alpha=sc.alpha)
         fit = simulate.fit_decay_rate(traj, "a_alpha_minus_half")
         weighted = traj.weighted_energy(sc.alpha, rate=gamma)
         doc = {
@@ -648,6 +659,7 @@ def cmd_certify(scenario: Scenario, controller=None) -> dict:
             "weighted_integral": weighted,
             "energy_ratio": 0.0,
             "note": "no control required",
+            **forced,
         }
         serialize.json_dump(out / "certificate.json", doc)
         print(f"certificate: pass={doc['pass']} (open loop, "
@@ -663,10 +675,13 @@ def cmd_certify(scenario: Scenario, controller=None) -> dict:
         raise ConfigError(
             f"controller file {path} not found; run synthesize first")
     solution, actuators = _load_controller(ctx, path, part)
+    if ctx.forcing is not None:
+        _, forced["range_residual"] = _control_shift(ctx, y_e, actuators,
+                                                     _sim_grid(sc))
 
     try:
         cert = riccati.certify_decay(solution, ctx.spectrum, ctx.kernel,
-                                     gamma, y0[:solution.truncation_k],
+                                     gamma, (y0 - y_e)[:solution.truncation_k],
                                      t_max, actuators=actuators)
         violation = None
     except DecayViolationError as exc:
@@ -686,6 +701,7 @@ def cmd_certify(scenario: Scenario, controller=None) -> dict:
         "a1": cert.a1,
         "a2": cert.a2,
         "oscillation": cert.oscillation,
+        **forced,
     }
     serialize.json_dump(out / "certificate.json", doc)
     print(f"certificate: pass={doc['pass']} (rate {cert.fitted_rate:.6g} "

@@ -9,9 +9,11 @@ feedback controllers.  The first works root by root, the second on the
 state matrix; they share only the kernel/spectrum types and the Gauss
 nodes of a cell, which is what makes their agreement a meaningful check.
 
-Nonzero forcing is handled by translation: subtract the steady state,
-absorb the memory mismatch into a decaying residual forcing, and shift
-the control so the translated problem is the homogeneous one.
+Nonzero forcing is handled by translation: subtract the steady state
+and absorb the memory mismatch into a decaying residual forcing.  Under
+feedback the control is shifted by minus that residual
+(``control_shift``), sampled on the run's grid and checked against the
+actuator range, so the translated problem is the homogeneous one.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from .exceptions import (
     WindowTooShortError,
 )
 from .spectral import MemoryKernel, Spectrum, modal_roots
+
+# largest relative distance of a residual forcing sample from the
+# actuator range that the control shift accepts
+RANGE_RTOL = 1e-8
 
 # ---------------------------------------------------------------------------
 # control signals
@@ -106,46 +112,6 @@ class CallableModalSignal:
         return (self.value(t + h) - self.value(t - h)) / (2.0 * h)
 
 
-@dataclass(frozen=True, eq=False)
-class ActuatorControl:
-    """Actuator-amplitude signal ``t -> (m,)`` with derivative."""
-
-    m: int
-    value_fn: object
-    derivative_fn: object
-
-    def value(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return _batch(np.stack(
-            [np.asarray(self.value_fn(ti), dtype=float).reshape(-1)
-             for ti in t], axis=1), self.m, t.size)
-
-    def derivative(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return _batch(np.stack(
-            [np.asarray(self.derivative_fn(ti), dtype=float).reshape(-1)
-             for ti in t], axis=1), self.m, t.size)
-
-    @classmethod
-    def zero(cls, m: int) -> "ActuatorControl":
-        return cls(m=m, value_fn=lambda t: np.zeros(m),
-                   derivative_fn=lambda t: np.zeros(m))
-
-
-@dataclass(frozen=True, eq=False)
-class ActuatorModalSignal:
-    """Modal projection ``u_n = (C v)_n`` of an actuator signal."""
-
-    c_rows: np.ndarray
-    control: ActuatorControl
-
-    def value(self, t):
-        return self.c_rows @ self.control.value(t)
-
-    def derivative(self, t):
-        return self.c_rows @ self.control.derivative(t)
-
-
 # ---------------------------------------------------------------------------
 # forcing
 
@@ -154,26 +120,19 @@ class ActuatorModalSignal:
 class ForcingField:
     """Source term in modal coordinates with its asymptotic limit.
 
-    ``modal`` evaluates f_n(t); ``f_e`` is the declared limit as t grows.
-    The range flag and preimages are required only by the control-shift
-    path (the forcing must be reachable through the actuators there).
+    ``modal`` evaluates f_n(t) and ``modal_derivative`` its time
+    derivative (zero when omitted), both on a 1-D array of times; ``f_e``
+    is the declared limit as t grows.  Whether the actuators can absorb
+    the forcing is decided on samples, by ``control_shift``.
     """
 
     modal: object
     f_e: np.ndarray
-    in_actuator_range: bool = False
     modal_derivative: object = None
-    preimage: object = None
-    preimage_e: np.ndarray | None = None
-    preimage_derivative: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "f_e",
                            np.asarray(self.f_e, dtype=float).reshape(-1))
-        if self.preimage_e is not None:
-            object.__setattr__(
-                self, "preimage_e",
-                np.asarray(self.preimage_e, dtype=float).reshape(-1))
 
     @property
     def k(self) -> int:
@@ -192,16 +151,8 @@ class ForcingField:
     @classmethod
     def constant(cls, values) -> "ForcingField":
         values = np.asarray(values, dtype=float).reshape(-1)
-
-        def modal(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            return np.repeat(values[:, None], t.size, axis=1)
-
-        def deriv(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            return np.zeros((values.size, t.size))
-
-        return cls(modal=modal, f_e=values, modal_derivative=deriv)
+        return cls(modal=lambda t: np.repeat(values[:, None], t.size, axis=1),
+                   f_e=values)
 
     @classmethod
     def exponential(cls, coefficients, rate: float) -> "ForcingField":
@@ -209,60 +160,13 @@ class ForcingField:
         coeff = np.asarray(coefficients, dtype=float).reshape(-1)
 
         def modal(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
             return coeff[:, None] * np.exp(-rate * t)[None, :]
 
         def deriv(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
             return -rate * coeff[:, None] * np.exp(-rate * t)[None, :]
 
         return cls(modal=modal, f_e=np.zeros_like(coeff),
                    modal_derivative=deriv)
-
-
-def attach_actuator_preimage(forcing: ForcingField, actuators, n_modes: int, *,
-                             rtol: float = 1e-8,
-                             check_times=(0.0, 0.5, 1.0)) -> ForcingField:
-    """Resolve the forcing through the actuator shapes.
-
-    Least-squares preimages are computed against the first ``n_modes``
-    coefficient rows and validated at the given times and at the limit;
-    a relative residual above ``rtol`` means the forcing cannot be
-    produced by the actuators and the control-shift path must refuse it.
-    """
-    c = actuators.rows(n_modes)
-    pinv = np.linalg.pinv(c)
-
-    def check(vec, label):
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        if vec.size != n_modes:
-            raise DimensionMismatchError(
-                f"forcing has {vec.size} modal entries, expected {n_modes}")
-        pre = pinv @ vec
-        scale = max(float(np.linalg.norm(vec)), 1e-30)
-        resid = float(np.linalg.norm(c @ pre - vec)) / scale
-        if resid > rtol:
-            raise ForcingRangeError(
-                f"forcing at {label} lies outside the actuator range "
-                f"(relative residual {resid:.3e})")
-        return pre
-
-    pre_e = check(forcing.f_e, "the asymptotic limit")
-    for t in check_times:
-        check(forcing.modal_at(t)[:, 0], f"t={t:g}")
-
-    def preimage(t):
-        return pinv @ forcing.modal_at(t)
-
-    preimage_derivative = None
-    if forcing.modal_derivative is not None:
-        def preimage_derivative(t):
-            return pinv @ forcing.derivative_at(t)
-
-    return ForcingField(
-        modal=forcing.modal, f_e=forcing.f_e, in_actuator_range=True,
-        modal_derivative=forcing.modal_derivative, preimage=preimage,
-        preimage_e=pre_e, preimage_derivative=preimage_derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +202,6 @@ class Trajectory:
                 f"{self.grid.size} samples x {self.lambdas.size} modes")
         if self.z.shape != self.alpha.shape:
             raise DimensionMismatchError("z and alpha shapes differ")
-
-    @property
-    def n_samples(self) -> int:
-        return self.grid.size
 
     @property
     def n_modes(self) -> int:
@@ -352,6 +252,17 @@ def _check_grid(t_grid) -> np.ndarray:
     return grid
 
 
+def _check_inputs(k: int, control, forcing) -> None:
+    """Control and forcing must act on the ``k`` modes of the state."""
+    rows = (np.shape(control.input_matrix)[0] if hasattr(control, "aux_matrix")
+            else control.value(0.0).shape[0])
+    for what, size in (("control", rows),
+                       ("forcing", k if forcing is None else forcing.k)):
+        if size != k:
+            raise DimensionMismatchError(
+                f"{what} covers {size} modes, state has {k}")
+
+
 def simulate_exact(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
                    t_grid, *, forcing: ForcingField | None = None,
                    frac_alpha: float = 0.5) -> Trajectory:
@@ -372,6 +283,7 @@ def simulate_exact(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
     grid = _check_grid(t_grid)
     y0 = np.asarray(y0, dtype=float).reshape(-1)
     k = y0.size
+    _check_inputs(k, control, forcing)
     lams, _ = spectrum.expanded(k)
     real, mu_p, mu_m = _roots_split(lams, kernel)
     delta = kernel.delta
@@ -517,10 +429,8 @@ def simulate_ode(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
     grid = _check_grid(t_grid)
     y0 = np.asarray(y0, dtype=float).reshape(-1)
     k = y0.size
+    _check_inputs(k, control, forcing)
     lams, _ = spectrum.expanded(k)
-    if forcing is not None and forcing.k != k:
-        raise DimensionMismatchError(
-            f"forcing covers {forcing.k} modes, state has {k}")
 
     linear = hasattr(control, "aux_matrix")
     aux0 = (np.asarray(control.aux0, dtype=float).reshape(-1) if linear
@@ -624,8 +534,7 @@ def translate_system(forcing: ForcingField, y_e,
     residual ``f(t) - f_e + g(t)`` where ``g`` compensates the memory
     integral of the constant part:
     ``g_n(t) = (b/(b+delta)) f_e,n e^{-delta t}``, which decays away.
-    Initial data shifts by -y_e; preimages shift accordingly when
-    present.
+    Initial data shifts by -y_e.
     """
     y_e = np.asarray(y_e, dtype=float).reshape(-1)
     b, delta = kernel.b, kernel.delta
@@ -633,78 +542,51 @@ def translate_system(forcing: ForcingField, y_e,
     f_e = forcing.f_e
 
     def modal(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         g = kfac * f_e[:, None] * np.exp(-delta * t)[None, :]
         return forcing.modal_at(t) - f_e[:, None] + g
 
     def deriv(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         g = kfac * f_e[:, None] * np.exp(-delta * t)[None, :]
         return forcing.derivative_at(t) - delta * g
 
-    preimage = None
-    preimage_derivative = None
-    pre_e = forcing.preimage_e
-    if forcing.preimage is not None and pre_e is not None:
-        def preimage(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            gp = kfac * pre_e[:, None] * np.exp(-delta * t)[None, :]
-            return forcing.preimage(t) - pre_e[:, None] + gp
-
-        def preimage_derivative(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            gp = kfac * pre_e[:, None] * np.exp(-delta * t)[None, :]
-            base = (forcing.preimage_derivative(t)
-                    if forcing.preimage_derivative is not None else 0.0)
-            return base - delta * gp
-
-    residual = ForcingField(
-        modal=modal, f_e=np.zeros_like(f_e),
-        in_actuator_range=forcing.in_actuator_range,
-        modal_derivative=deriv, preimage=preimage,
-        preimage_e=np.zeros_like(pre_e) if pre_e is not None else None,
-        preimage_derivative=preimage_derivative)
+    residual = ForcingField(modal=modal, f_e=np.zeros_like(f_e),
+                            modal_derivative=deriv)
     return TranslatedSystem(forcing=residual, y_e=y_e)
 
 
-def shift_control_for_forcing(forcing: ForcingField, kernel: MemoryKernel,
-                              base_control: ActuatorControl) -> ActuatorControl:
-    """Fold the forcing into the control so the translated run is homogeneous.
+def control_shift(residual: ForcingField, c_rows, grid) -> tuple:
+    """Modal control samples that cancel a residual forcing on a grid.
 
-    With preimages p_f (of f) and p_e (of f_e) the effective control is
-
-        u1(t) = base(t) - p_f(t) + (1 - (b/(b+delta)) e^{-delta t}) p_e,
-
-    chosen so the residual forcing of the translated system is cancelled
-    exactly: applying u1 to the forced system reproduces the homogeneous
-    closed loop around y_e, and y = y_e is stationary when base = 0 and
-    f = f_e.
+    The shift is minus the residual, -(f(t) - f_e + g(t)) for the output
+    of ``translate_system``: added to the feedback it leaves the
+    translated loop homogeneous, so y = y_e is stationary when f = f_e.
+    The actuators (coefficient rows ``c_rows``, modes by channels) can
+    produce it only if every sample lies in their range; one
+    least-squares pass over all samples measures each one's relative
+    distance from that range, and one above ``RANGE_RTOL`` raises
+    :class:`ForcingRangeError` naming the worst sample.  Returns the
+    shift as (samples, modes) and the largest relative residual.
     """
-    if not forcing.in_actuator_range:
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    rows = np.asarray(c_rows, dtype=float)
+    f = residual.modal_at(grid)
+    if rows.shape[0] != f.shape[0]:
+        raise DimensionMismatchError(
+            f"actuator rows cover {rows.shape[0]} modes, forcing has "
+            f"{f.shape[0]}")
+    coef = np.linalg.lstsq(rows, f, rcond=None)[0]
+    size = np.linalg.norm(f, axis=0)
+    # a residual that has decayed towards underflow keeps no relative
+    # digits; samples below 1e-30 of the largest are judged on that floor
+    scale = np.maximum(size, 1e-30 * size.max())
+    miss = np.linalg.norm(rows @ coef - f, axis=0)
+    rel = np.divide(miss, scale, out=np.zeros_like(miss), where=scale > 0.0)
+    worst = int(np.argmax(rel))
+    if rel[worst] > RANGE_RTOL:
         raise ForcingRangeError(
-            "forcing is not flagged as reachable through the actuators; "
-            "attach preimages first")
-    if forcing.preimage is None or forcing.preimage_e is None:
-        raise ForcingRangeError("forcing preimages are required")
-    b, delta = kernel.b, kernel.delta
-    kfac = b / (b + delta)
-    pre_e = forcing.preimage_e
-    m = pre_e.size
-
-    def value(t):
-        pf = forcing.preimage(t)[:, 0]
-        return (base_control.value(t)[:, 0] - pf
-                + (1.0 - kfac * math.exp(-delta * float(t))) * pre_e)
-
-    def derivative(t):
-        if forcing.preimage_derivative is not None:
-            dpf = forcing.preimage_derivative(t)[:, 0]
-        else:
-            dpf = np.zeros(m)
-        return (base_control.derivative(t)[:, 0] - dpf
-                + kfac * delta * math.exp(-delta * float(t)) * pre_e)
-
-    return ActuatorControl(m=m, value_fn=value, derivative_fn=derivative)
+            f"forcing at t={grid[worst]:.6g} lies outside the actuator "
+            f"range (relative residual {rel[worst]:.3e} > {RANGE_RTOL:g})")
+    return -f.T, float(rel[worst])
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,9 @@ from pidestab.fluids import (
 from pidestab.riccati import build_shifted, certify_decay, embed_initial, \
     simulate_closed_loop, solve_are
 from pidestab.simulate import (
-    ActuatorControl,
-    ActuatorModalSignal,
     ForcingField,
     ZeroSignal,
-    attach_actuator_preimage,
     fit_decay_rate,
-    shift_control_for_forcing,
     simulate_exact,
     simulate_ode,
     steady_state,
@@ -52,7 +48,7 @@ from pidestab.synthesis import (
 )
 
 from test_riccati import headline_solution, synthetic_system
-from test_simulate import smooth_control
+from test_simulate import ShiftSignal, smooth_control
 from test_synthesis import _steerability_instance
 
 OPEN_LOOP_RATE = (5.0 - math.sqrt(5.0)) / 2.0
@@ -300,15 +296,11 @@ def test_10_forcing_translation():
         kernel = MemoryKernel(b=1.0, delta=1.0)
         lams = np.array([1.0, 2.0])
         f_e = np.array([2.0, 1.0])
-        acts = ActuatorSet(count=2, modal_coefficients=np.eye(2))
-        forcing = attach_actuator_preimage(ForcingField.constant(f_e),
-                                           acts, 2)
+        forcing = ForcingField.constant(f_e)
         y_e = steady_state(forcing, spectrum, kernel)
         np.testing.assert_allclose(
             y_e, f_e / (lams * (1.0 + kernel.b / kernel.delta)), rtol=1e-12)
-        u1 = shift_control_for_forcing(forcing, kernel,
-                                       ActuatorControl.zero(2))
-        modal = ActuatorModalSignal(c_rows=acts.rows(2), control=u1)
+        modal = ShiftSignal(forcing, spectrum, kernel, np.eye(2))
         gamma_nominal = 1.0
         grid = np.linspace(0.0, 20.0 / gamma_nominal, 801)
         traj = simulate_ode(spectrum, kernel, [0.0, 0.0], modal, grid,

@@ -5,7 +5,8 @@ no default, so a function renamed or removed here breaks every traced
 benchmark run.  ``perfbench/workloads.py`` calls the library by position
 and drives ``cli.main``, so a changed signature or exit code breaks every
 run of its workloads; one warm-up scenario of each, with the benchmark's
-own checks, catches that here.
+own checks, catches that here, and so does the one forced scenario of
+``closed_loop_cli``.
 """
 
 import importlib
@@ -38,3 +39,14 @@ def test_benchmark_warm_up_runs_and_checks(name, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     workloads.WORKLOADS[name](0, tmp_path).warm_up()
+
+
+def test_benchmark_forced_scenario_runs_and_checks(tmp_path, monkeypatch):
+    # the closed-loop warm-up has no forcing; the Jeffreys scenario is the
+    # benchmark's one forced closed loop
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    bench = workloads.ClosedLoopCli(0, tmp_path)
+    sc = bench.scenarios[2]
+    assert sc["doc"]["name"] == "jeffreys_forced"
+    bench.check(sc, bench.run(sc))

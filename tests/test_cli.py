@@ -13,7 +13,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from pidestab import cli
+from pidestab import cli, riccati, simulate
 from pidestab.cli import scenario_from_dict
 from pidestab.exceptions import ConfigError
 from test_serialize import per_cell_csv, reference_dumps
@@ -372,11 +372,12 @@ def test_controller_kernel_mismatch(tmp_path, capsys):
 # forcing runs
 
 
-def test_forced_closed_loop_reaches_steady_state(tmp_path):
+def test_forced_closed_loop_reaches_steady_state(tmp_path, capsys):
+    # the headline design has one actuator, on mode 1 only
     out = tmp_path / "out"
     cfg = headline_config(
         tmp_path, out,
-        forcing={"kind": "constant", "values": [1.0, 0.5]},
+        forcing={"kind": "constant", "values": [1.0]},
         y0=[0.0])
     assert cli.main(["synthesize", "--config", cfg]) == 0
     assert cli.main(["simulate", "--config", cfg,
@@ -385,6 +386,121 @@ def test_forced_closed_loop_reaches_steady_state(tmp_path):
     assert run["mode"] == "forced_closed_loop"
     assert run["final_deviation"] <= 1e-4
     assert run["y_e_norm"] > 0.0
+    assert run["range_residual"] <= 1e-8
+    # a forcing on mode 2 as well cannot be cancelled by that actuator
+    cfg = headline_config(
+        tmp_path, out, name="reach.json",
+        forcing={"kind": "constant", "values": [1.0, 0.5]},
+        y0=[0.0])
+    assert cli.main(["simulate", "--config", cfg,
+                     "--controller", str(out / "controller.json")]) == 2
+    assert "ForcingRangeError" in capsys.readouterr().err
+
+
+def jeffreys_config(tmp_path, out, tau0):
+    return write_config(tmp_path, {
+        "spectrum": {"kind": "dirichlet_1d", "scale": INV_PI_SQ,
+                     "n_modes": 8},
+        "fluid": {"model": "jeffreys", "mu_visc": 2.0, "kappa": 1.0,
+                  "lambda_relax": 4.0, "tau0": tau0},
+        "gamma": 1.5, "t_max": 6.0, "out": str(out)}, name="jeffreys.json")
+
+
+def test_stress_outside_the_actuator_range_is_refused(tmp_path, capsys):
+    # stress on modes 1-3, one actuator on mode 1: the loop cannot cancel
+    # it, so neither a run nor a certificate may pretend it does
+    out = tmp_path / "out"
+    cfg = jeffreys_config(tmp_path, out, [1.0, -0.5, 0.25])
+    assert cli.main(["synthesize", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", cfg,
+                     "--controller", str(out / "controller.json")]) == 2
+    assert "ForcingRangeError" in capsys.readouterr().err
+    assert cli.main(["certify", "--config", cfg]) == 2
+    assert "ForcingRangeError" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "certificate.json").exists()
+
+
+class DeviationFeedback:
+    """A feedback law on the state acting on its deviation from the
+    steady path (y_e, (1 - e^{-delta t})/delta y_e): two extra controller
+    states carry 1 and that fill, so the loop stays linear."""
+
+    def __init__(self, feedback, y_e, delta):
+        n, m = y_e.size, feedback.aux0.size
+        dim = 2 * n + m + 2
+        self.input_matrix = np.zeros((n, dim))
+        self.input_matrix[:, :2 * n + m] = feedback.input_matrix
+        v = feedback.aux_matrix
+        self.aux_matrix = np.zeros((m + 2, dim))
+        self.aux_matrix[:m, :2 * n + m] = v
+        self.aux_matrix[:m, -2] = -v[:, :n] @ y_e
+        self.aux_matrix[:m, -1] = -v[:, n:2 * n] @ y_e
+        self.aux_matrix[m + 1, -2:] = [1.0, -delta]
+        self.aux0 = np.r_[np.zeros(m), 1.0, 0.0]
+
+
+def test_forced_closed_loop_is_the_control_shift_loop(tmp_path):
+    out = tmp_path / "out"
+    f_e = 1.0
+    cfg = headline_config(tmp_path, out, t_max=3.0,
+                          forcing={"kind": "constant", "values": [f_e]},
+                          y0=[0.3, -0.2, 0.1])
+    assert cli.main(["synthesize", "--config", cfg]) == 0
+    assert cli.main(["simulate", "--config", cfg,
+                     "--controller", str(out / "controller.json")]) == 0
+    table = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+
+    ctx = cli.prepare(cli.load_scenario(cfg))
+    n, b, delta = ctx.spectrum.n_modes, ctx.kernel.b, ctx.kernel.delta
+    solution, actuators = cli._load_controller(
+        ctx, out / "controller.json", None)
+    feedback = riccati.make_closed_loop(solution, actuators, ctx.kernel, n)
+    y_e = simulate.steady_state(ctx.forcing, ctx.spectrum, ctx.kernel)
+    kfac = b / (b + delta)
+    forcing = np.r_[f_e, np.zeros(n - 1)]
+    # the forced system driven by the forcing plus the shift, which is
+    # the forcing less its translated residual
+    net = simulate.ForcingField(
+        modal=lambda t: forcing[:, None] * (1.0 - kfac * np.exp(-delta * t)),
+        f_e=forcing)
+    grid = table[:, 0]
+    ref = simulate.simulate_ode(ctx.spectrum, ctx.kernel,
+                                cli._initial_state(ctx),
+                                DeviationFeedback(feedback, y_e, delta), grid,
+                                forcing=net)
+    np.testing.assert_allclose(table[:, 1:1 + n], ref.alpha, rtol=0.0,
+                               atol=1e-9)
+    np.testing.assert_allclose(table[:, 1 + n:1 + 2 * n], ref.z, rtol=0.0,
+                               atol=1e-9)
+    shift = -kfac * f_e * np.exp(-delta * grid)
+    u = table[:, 1 + 2 * n:1 + 3 * n]
+    np.testing.assert_allclose(u[:, 0], ref.controls[:, 0] + shift,
+                               rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(u[:, 1:], ref.controls[:, 1:], rtol=0.0,
+                               atol=1e-9)
+
+
+def test_certify_translates_constant_forcing(tmp_path):
+    # from y0 = 0 the deviation starts at -y_e, not at rest
+    out = tmp_path / "out"
+    cfg = headline_config(tmp_path, out,
+                          forcing={"kind": "constant", "values": [1.0]},
+                          y0=[0.0])
+    assert cli.main(["synthesize", "--config", cfg]) == 0
+    assert cli.main(["certify", "--config", cfg]) == 0
+    cert = read_json(out / "certificate.json")
+    ctx = cli.prepare(cli.load_scenario(cfg))
+    solution, _ = cli._load_controller(ctx, out / "controller.json", None)
+    y_e = simulate.steady_state(ctx.forcing, ctx.spectrum, ctx.kernel)
+    xi0 = riccati.embed_initial(solution, -y_e[:solution.truncation_k])
+    quad = float(xi0 @ solution.r_matrix @ xi0)
+    assert quad > 1.0
+    assert cert["quadratic_form"] == pytest.approx(quad, rel=1e-12)
+    assert cert["y_e_norm"] == pytest.approx(0.8, rel=1e-12)
+    assert cert["range_residual"] <= 1e-8
+    assert math.isfinite(cert["fitted_rate"]) and cert["pass"]
 
 
 def test_forced_fixed_point_stays_put(tmp_path):

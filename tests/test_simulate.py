@@ -15,8 +15,8 @@ import pytest
 import scipy.linalg
 
 from pidestab import (
-    ActuatorControl,
     DegenerateRootError,
+    DimensionMismatchError,
     ForcingField,
     MemoryKernel,
     Spectrum,
@@ -24,8 +24,8 @@ from pidestab import (
     Trajectory,
     WindowTooShortError,
     ZeroSignal,
+    control_shift,
     fit_decay_rate,
-    shift_control_for_forcing,
     simulate_exact,
     simulate_ode,
     steady_state,
@@ -33,13 +33,10 @@ from pidestab import (
 )
 from pidestab.exceptions import ForcingRangeError
 from pidestab.simulate import (
-    ActuatorModalSignal,
     CallableModalSignal,
     ConstantModalSignal,
     _width_classes,
-    attach_actuator_preimage,
 )
-from pidestab.synthesis import ActuatorSet
 
 
 def grid_to(t_max, n=401):
@@ -363,64 +360,79 @@ def test_translate_constant_forcing_residual():
     assert np.max(np.abs(translated.forcing.modal_at(30.0))) < 1e-12
 
 
-def test_shift_control_requires_preimages():
-    forcing = ForcingField.constant([1.0])
-    with pytest.raises(ForcingRangeError):
-        shift_control_for_forcing(forcing, MemoryKernel(b=1.0, delta=1.0),
-                                  ActuatorControl.zero(1))
+class ShiftSignal:
+    """The array control shift as a signal: ``control_shift`` evaluated
+    on whatever times a route asks for."""
+
+    def __init__(self, forcing, spectrum, kernel, rows):
+        y_e = steady_state(forcing, spectrum, kernel)
+        self.residual = translate_system(forcing, y_e, kernel).forcing
+        self.rows = np.asarray(rows, dtype=float)
+
+    def value(self, t):
+        return control_shift(self.residual, self.rows, np.atleast_1d(t))[0].T
+
+    def derivative(self, t):
+        return -self.residual.derivative_at(t)
 
 
-def test_attach_preimage_detects_unreachable_forcing():
-    acts = ActuatorSet(count=1, modal_coefficients=np.array([[1.0], [0.0]]))
-    with pytest.raises(ForcingRangeError):
-        attach_actuator_preimage(ForcingField.constant([1.0, 1.0]), acts, 2)
-    ok = attach_actuator_preimage(ForcingField.constant([1.5, 0.0]), acts, 2)
-    assert ok.in_actuator_range
-    np.testing.assert_allclose(ok.preimage_e, [1.5], rtol=1e-12)
+def test_control_shift_refuses_unreachable_forcing():
+    kernel = MemoryKernel(b=1.0, delta=1.0)
+    grid = grid_to(2.0, 81)
+    e1 = np.array([[1.0], [0.0]])
+
+    def residual(values):
+        return translate_system(ForcingField.constant(values),
+                                np.zeros(2), kernel).forcing
+
+    with pytest.raises(ForcingRangeError, match="relative residual"):
+        control_shift(residual([1.0, 1.0]), e1, grid)
+    shift, worst = control_shift(residual([1.5, 0.0]), e1, grid)
+    assert worst <= 1e-15
+    np.testing.assert_array_equal(shift[:, 1], 0.0)
+    # in range at t = 0 only: the error names the worst sample, the last
+    leaving = ForcingField(
+        modal=lambda t: np.vstack([np.ones_like(t), t]), f_e=[1.0, 0.0])
+    with pytest.raises(ForcingRangeError, match=r"t=2 .*residual 8\.9"):
+        control_shift(leaving, e1, grid)
+    with pytest.raises(DimensionMismatchError):
+        control_shift(residual([1.5, 0.0]), np.ones((3, 1)), grid)
 
 
 def test_shift_control_zero_forcing_is_identity():
-    acts = ActuatorSet(count=1, modal_coefficients=np.array([[1.0]]))
-    forcing = attach_actuator_preimage(ForcingField.constant([0.0]), acts, 1)
-    base = ActuatorControl(m=1, value_fn=lambda t: np.array([math.sin(t)]),
-                           derivative_fn=lambda t: np.array([math.cos(t)]))
-    shifted = shift_control_for_forcing(forcing,
-                                        MemoryKernel(b=1.0, delta=1.0), base)
-    for t in (0.0, 0.7, 2.0):
-        np.testing.assert_allclose(shifted.value(t), base.value(t),
-                                   atol=1e-15)
+    kernel = MemoryKernel(b=1.0, delta=1.0)
+    residual = translate_system(ForcingField.constant([0.0, 0.0]),
+                                np.zeros(2), kernel).forcing
+    shift, worst = control_shift(residual, np.eye(2)[:, :1], grid_to(3.0))
+    np.testing.assert_array_equal(shift, 0.0)
+    assert worst == 0.0
 
 
 def test_shift_control_constant_forcing_closed_form():
-    # with zero base control and f identically f_e the shift reduces to
-    # u1(t) = -(b/(b+delta)) e^{-delta t} p_e, the transient that
-    # cancels the memory mismatch of the constant part
+    # with f identically f_e the shift is -(b/(b+delta)) e^{-delta t} f_e,
+    # the transient that cancels the memory mismatch of the constant part
+    spectrum = Spectrum.from_values([1.0])
     kernel = MemoryKernel(b=1.0, delta=1.0)
-    acts = ActuatorSet(count=1, modal_coefficients=np.array([[1.0]]))
-    forcing = attach_actuator_preimage(ForcingField.constant([2.0]), acts, 1)
-    shifted = shift_control_for_forcing(forcing, kernel,
-                                        ActuatorControl.zero(1))
-    for t in (0.0, 0.4, 1.3, 5.0):
-        expected = -0.5 * math.exp(-t) * 2.0
-        assert shifted.value(t)[0] == pytest.approx(expected, rel=1e-12)
-        assert shifted.derivative(t)[0] == pytest.approx(-expected,
-                                                         rel=1e-12)
+    signal = ShiftSignal(ForcingField.constant([2.0]), spectrum, kernel,
+                         [[1.0]])
+    ts = np.array([0.0, 0.4, 1.3, 5.0])
+    expected = -0.5 * np.exp(-ts) * 2.0
+    np.testing.assert_allclose(signal.value(ts)[0], expected, rtol=1e-12)
+    np.testing.assert_allclose(signal.derivative(ts)[0], -expected,
+                               rtol=1e-12)
 
 
 def test_forced_fixed_point_is_stationary():
     # y0 = y_e with the shifted control must stay put on both routes
     spectrum = Spectrum.from_values([1.0, 2.0])
     kernel = MemoryKernel(b=1.0, delta=1.0)
-    acts = ActuatorSet(count=2, modal_coefficients=np.eye(2))
-    forcing = attach_actuator_preimage(ForcingField.constant([2.0, 1.0]),
-                                       acts, 2)
+    forcing = ForcingField.constant([2.0, 1.0])
     y_e = steady_state(forcing, spectrum, kernel)
-    u1 = shift_control_for_forcing(forcing, kernel, ActuatorControl.zero(2))
-    modal = ActuatorModalSignal(c_rows=acts.rows(2), control=u1)
+    shift = ShiftSignal(forcing, spectrum, kernel, np.eye(2))
     grid = grid_to(8.0, 321)
-    ode = simulate_ode(spectrum, kernel, y_e, modal, grid, forcing=forcing)
+    ode = simulate_ode(spectrum, kernel, y_e, shift, grid, forcing=forcing)
     assert np.max(np.abs(ode.alpha - y_e[None, :])) <= 1e-8
-    exact = simulate_exact(spectrum, kernel, y_e, modal, grid,
+    exact = simulate_exact(spectrum, kernel, y_e, shift, grid,
                            forcing=forcing)
     assert np.max(np.abs(exact.alpha - y_e[None, :])) <= 1e-8
 
@@ -428,16 +440,26 @@ def test_forced_fixed_point_is_stationary():
 def test_forced_run_converges_to_steady_state():
     spectrum = Spectrum.from_values([1.0, 2.0])
     kernel = MemoryKernel(b=1.0, delta=1.0)
-    acts = ActuatorSet(count=2, modal_coefficients=np.eye(2))
-    forcing = attach_actuator_preimage(ForcingField.constant([2.0, 1.0]),
-                                       acts, 2)
+    forcing = ForcingField.constant([2.0, 1.0])
     y_e = steady_state(forcing, spectrum, kernel)
-    u1 = shift_control_for_forcing(forcing, kernel, ActuatorControl.zero(2))
-    modal = ActuatorModalSignal(c_rows=acts.rows(2), control=u1)
+    shift = ShiftSignal(forcing, spectrum, kernel, np.eye(2))
     grid = grid_to(12.0, 481)
-    traj = simulate_ode(spectrum, kernel, [0.0, 0.0], modal, grid,
+    traj = simulate_ode(spectrum, kernel, [0.0, 0.0], shift, grid,
                         forcing=forcing)
     assert np.max(np.abs(traj.alpha[-1] - y_e)) <= 1e-4
+
+
+@pytest.mark.parametrize("route", [simulate_exact, simulate_ode])
+def test_inputs_must_cover_the_state_modes(route):
+    spectrum = Spectrum.from_values([1.0, 4.0, 9.0])
+    kernel = MemoryKernel(b=1.0, delta=2.0)
+    grid = grid_to(1.0, 11)
+    with pytest.raises(DimensionMismatchError, match="forcing covers 1"):
+        route(spectrum, kernel, np.ones(3), ZeroSignal(3), grid,
+              forcing=ForcingField.constant([1.0]))
+    with pytest.raises(DimensionMismatchError, match="control covers 2"):
+        route(spectrum, kernel, np.ones(3), ConstantModalSignal([1.0, 2.0]),
+              grid)
 
 
 # ---------------------------------------------------------------------------

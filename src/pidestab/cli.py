@@ -253,10 +253,9 @@ def prepare(sc: Scenario) -> RunContext:
 
     if forcing is not None:
         # re-pad the stress footprint to the realized mode count
-        forcing = simulate.ForcingField.exponential(
-            _pad(forcing.modal_at(0.0)[:, 0] if forcing.k else [], n,
-                 "fluid.tau0"),
-            kernel.delta)
+        forcing = simulate.ForcingField(
+            _pad(forcing.coefficients[:, 0], n, "fluid.tau0")[:, None],
+            forcing.rates)
     if sc.forcing is not None:
         _require(forcing is None,
                  "scenario forcing conflicts with fluid-induced forcing")

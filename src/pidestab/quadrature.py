@@ -1,10 +1,8 @@
 """The Gauss rule of one cell and the all-prefix scan of a step map.
 
-Every cell carries ``NODES`` = 8 Gauss-Legendre nodes.  They serve the
-source convolutions of ``simulate.simulate_exact`` and
-``simulate.simulate_ode`` and ``synthesis.recover_v``; ``simulate_ode``
-integrates the polynomial through the node values (``TAYLOR``) instead
-of weighting them, so its stiff modes need no finer cells.
+Every cell carries ``NODES`` = 8 Gauss-Legendre nodes.  They serve only
+the cell convolutions of ``synthesis.recover_v``; neither simulation
+route samples its inputs, since every input is a sum of exponentials.
 
 ``scan`` runs the linear recurrence x_k = step x_{k-1} + drive[k] that
 every exact step map of the package feeds: the samples of
@@ -14,8 +12,6 @@ costate and terminal state of ``synthesis.min_energy_control``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 NODES = 8
@@ -23,20 +19,9 @@ _BASE, _WEIGHTS = np.polynomial.legendre.leggauss(NODES)
 
 
 def cell_nodes(t0: float, t1: float):
-    """Quadrature points and weights for the cell [t0, t1].
-
-    Column arrays of cell ends give one row of nodes per cell.
-    """
+    """Quadrature points and weights for the cell [t0, t1]."""
     half = 0.5 * (t1 - t0)
     return t0 + half * (_BASE + 1.0), half * _WEIGHTS
-
-
-# Map from values at the Gauss nodes of [0, 1] to Taylor coefficients:
-# row i applied to the node values gives c_i of the interpolating
-# polynomial sum_i c_i s^i / i! of degree NODES - 1.
-TAYLOR = np.linalg.inv(
-    (0.5 * (_BASE + 1.0))[:, None] ** np.arange(NODES)
-    / np.array([math.factorial(i) for i in range(NODES)], dtype=float))
 
 
 def scan(step: np.ndarray, drive: np.ndarray) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Open- and closed-loop trajectory computation in modal coordinates.
 
-Two independent routes produce trajectories: an exact per-mode formula
-(variation of constants on the second-order modal equation, with
-convolution states updated cell by cell) and an exact matrix-exponential
-propagation of the first-order augmentation ``alpha' = -lam alpha -
-b lam z + u``, ``z' = alpha - delta z``, which also carries linear
-feedback controllers.  The first works root by root, the second on the
-state matrix; they share only the kernel/spectrum types and the Gauss
-nodes of a cell, which is what makes their agreement a meaningful check.
+Every input, open-loop control or forcing, is a :class:`ForcingField`:
+a finite sum of exponentials c e^{-r t}.  Two independent routes
+produce trajectories, and neither samples an input.  The closed-form
+route writes alpha and z of each mode root by root as sums of
+exponentials.  The matrix-exponential route propagates the first-order
+augmentation ``alpha' = -lam alpha - b lam z + u``, ``z' = alpha -
+delta z`` exactly, with one exosystem state per input rate, and also
+carries linear feedback controllers.  The first works on the roots, the
+second on the state matrix; they share no integration code and no
+nodes, only the kernel/spectrum types and the input type, which is what
+makes their agreement a meaningful check.
 
 Nonzero forcing is handled by translation: subtract the steady state
 and absorb the memory mismatch into a decaying residual forcing.  Under
@@ -24,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from . import quadrature
 from .exceptions import (
+    ConfigError,
     DegenerateRootError,
     DimensionMismatchError,
     ForcingRangeError,
@@ -41,132 +44,94 @@ from .spectral import MemoryKernel, Spectrum, modal_roots
 RANGE_RTOL = 1e-8
 
 # ---------------------------------------------------------------------------
-# control signals
-
-
-def _batch(values, n_rows: int, n_cols: int) -> np.ndarray:
-    out = np.asarray(values, dtype=float)
-    if out.ndim == 1:
-        out = np.repeat(out[:, None], n_cols, axis=1)
-    if out.shape != (n_rows, n_cols):
-        raise DimensionMismatchError(
-            f"signal returned shape {out.shape}, expected {(n_rows, n_cols)}")
-    return out
-
-
-@dataclass(frozen=True)
-class ZeroSignal:
-    """No input on any of the ``k`` modes."""
-
-    k: int
-
-    def value(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.zeros((self.k, t.size))
-
-    derivative = value
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantModalSignal:
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=float).reshape(-1))
-
-    def value(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.repeat(self.values[:, None], t.size, axis=1)
-
-    def derivative(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.zeros((self.values.size, t.size))
-
-
-@dataclass(frozen=True, eq=False)
-class CallableModalSignal:
-    """Per-mode signal from a callable ``t -> (k,)`` or ``(k, nt)``.
-
-    The derivative callable is optional; a symmetric difference with
-    spacing 1e-6 stands in when it is omitted, which is adequate for
-    smooth signals but not for certification-grade runs.
-    """
-
-    fn: object
-    k: int
-    derivative_fn: object = None
-
-    def value(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        cols = [np.asarray(self.fn(ti), dtype=float).reshape(-1) for ti in t]
-        return _batch(np.stack(cols, axis=1), self.k, t.size)
-
-    def derivative(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.derivative_fn is not None:
-            return _batch(np.stack(
-                [np.asarray(self.derivative_fn(ti), dtype=float).reshape(-1)
-                 for ti in t], axis=1), self.k, t.size)
-        h = 1e-6
-        return (self.value(t + h) - self.value(t - h)) / (2.0 * h)
-
-
-# ---------------------------------------------------------------------------
-# forcing
+# inputs: finite sums of exponentials
 
 
 @dataclass(frozen=True, eq=False)
 class ForcingField:
-    """Source term in modal coordinates with its asymptotic limit.
+    """Modal input f(t) = C e^{-r t}, a finite sum of exponentials.
 
-    ``modal`` evaluates f_n(t) and ``modal_derivative`` its time
-    derivative (zero when omitted), both on a 1-D array of times; ``f_e``
-    is the declared limit as t grows.  Whether the actuators can absorb
-    the forcing is decided on samples, by ``control_shift``.
+    ``coefficients`` C is real, (modes, R); ``rates`` r has R entries.
+    Every input the package builds has this form: constant forcing
+    (rate 0), ``exponential`` forcing and the Jeffreys stress, and the
+    residual ``translate_system`` leaves (which adds rate delta).  The
+    same type carries open-loop controls, and ``ZeroSignal(k)`` is the
+    empty sum.  A complex rate must be followed by its conjugate with
+    an equal coefficient column, so each pair sums to a real
+    e^{-Re r t} cos(Im r t) term.  A rate with negative real part would
+    grow without limit and raises :class:`ConfigError`.  ``f_e``, the
+    limit as t grows, is the sum of the rate-0 columns.  Whether the
+    actuators can absorb the forcing is decided on samples, by
+    ``control_shift``.
     """
 
-    modal: object
-    f_e: np.ndarray
-    modal_derivative: object = None
+    coefficients: np.ndarray
+    rates: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "f_e",
-                           np.asarray(self.f_e, dtype=float).reshape(-1))
+        rates = np.asarray(self.rates).reshape(-1)
+        if not np.iscomplexobj(rates):
+            rates = rates.astype(float)
+        coef = np.asarray(self.coefficients, dtype=float)
+        if coef.ndim != 2 or coef.shape[1] != rates.size:
+            raise DimensionMismatchError(
+                f"coefficients of shape {coef.shape} do not match "
+                f"{rates.size} rates")
+        if not np.all(np.isfinite(rates) & (rates.real >= 0.0)):
+            raise ConfigError(
+                f"input rates {rates.tolist()} must be finite with "
+                "nonnegative real part: a growing input has no limit")
+        if np.iscomplexobj(rates):
+            pair = np.flatnonzero(rates.imag)
+            first, second = pair[::2], pair[1::2]
+            if pair.size % 2 or np.any(second != first + 1) \
+                    or np.any(rates[second] != rates[first].conj()) \
+                    or np.any(coef[:, first] != coef[:, second]):
+                raise ConfigError("complex input rates must come in adjacent "
+                                  "conjugate pairs with equal coefficients")
+        object.__setattr__(self, "coefficients", coef)
+        object.__setattr__(self, "rates", rates)
 
     @property
     def k(self) -> int:
-        return self.f_e.size
+        return self.coefficients.shape[0]
 
-    def modal_at(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return _batch(self.modal(t), self.k, t.size)
+    @property
+    def f_e(self) -> np.ndarray:
+        return self.coefficients[:, self.rates == 0.0].sum(axis=1)
 
-    def derivative_at(self, t):
+    def value(self, t):
+        """f at the times ``t``, as (modes, times)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.modal_derivative is None:
-            return np.zeros((self.k, t.size))
-        return _batch(self.modal_derivative(t), self.k, t.size)
+        return (self.coefficients @ np.exp(-np.outer(self.rates, t))).real
+
+    def derivative(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return (self.coefficients @ (-self.rates[:, None] * np.exp(
+            -np.outer(self.rates, t)))).real
 
     @classmethod
     def constant(cls, values) -> "ForcingField":
         values = np.asarray(values, dtype=float).reshape(-1)
-        return cls(modal=lambda t: np.repeat(values[:, None], t.size, axis=1),
-                   f_e=values)
+        return cls(values[:, None], [0.0])
 
     @classmethod
     def exponential(cls, coefficients, rate: float) -> "ForcingField":
-        """Forcing ``f_n(t) = c_n e^{-rate t}`` with zero limit."""
+        """Forcing ``f_n(t) = c_n e^{-rate t}``."""
         coeff = np.asarray(coefficients, dtype=float).reshape(-1)
+        return cls(coeff[:, None], [rate])
 
-        def modal(t):
-            return coeff[:, None] * np.exp(-rate * t)[None, :]
 
-        def deriv(t):
-            return -rate * coeff[:, None] * np.exp(-rate * t)[None, :]
+def ZeroSignal(k: int) -> ForcingField:
+    """No input on any of the ``k`` modes: the empty sum."""
+    return ForcingField(np.zeros((k, 0)), np.zeros(0))
 
-        return cls(modal=modal, f_e=np.zeros_like(coeff),
-                   modal_derivative=deriv)
+
+def _joint(control: ForcingField, forcing: ForcingField | None):
+    """Coefficients and rates of the summed input ``control + forcing``."""
+    parts = (control,) if forcing is None else (control, forcing)
+    return (np.hstack([p.coefficients for p in parts]),
+            np.concatenate([p.rates for p in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +198,14 @@ class Trajectory:
 # exact modal formula
 
 
-def _roots_split(lams, kernel: MemoryKernel):
+def _distinct_roots(lams, kernel: MemoryKernel):
     roots = modal_roots(lams, kernel)
     if roots.is_degenerate.any():
         lam = roots.lam[np.argmax(roots.is_degenerate)]
         raise DegenerateRootError(
             f"mode with lambda={lam:g} has a (near-)double root; "
             "use the ODE integrator for this configuration")
-    return roots.is_real, roots.mu_plus, roots.mu_minus
+    return roots.mu_plus, roots.mu_minus
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -255,7 +220,7 @@ def _check_grid(t_grid) -> np.ndarray:
 def _check_inputs(k: int, control, forcing) -> None:
     """Control and forcing must act on the ``k`` modes of the state."""
     rows = (np.shape(control.input_matrix)[0] if hasattr(control, "aux_matrix")
-            else control.value(0.0).shape[0])
+            else control.k)
     for what, size in (("control", rows),
                        ("forcing", k if forcing is None else forcing.k)):
         if size != k:
@@ -263,112 +228,65 @@ def _check_inputs(k: int, control, forcing) -> None:
                 f"{what} covers {size} modes, state has {k}")
 
 
+def _conv(a, b, t):
+    """``int_0^t e^{-a (t - tau)} e^{-b tau} dtau``, elementwise.
+
+    Written as t e^{-s t} phi_1(-(f - s) t) with s the slower of a and
+    b, f the faster and phi_1(x) = expm1(x) / x: phi_1 never sees an
+    exponent with positive real part, so nothing overflows, and a = b
+    (resonance) gives t e^{-a t} exactly.
+    """
+    slow = a.real <= b.real
+    s = np.where(slow, a, b)
+    x = -(np.where(slow, b, a) - s) * t
+    zero = x == 0.0
+    phi = np.where(zero, 1.0, np.expm1(x) / np.where(zero, 1.0, x))
+    return t * np.exp(-s * t) * phi
+
+
 def simulate_exact(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
                    t_grid, *, forcing: ForcingField | None = None,
                    frac_alpha: float = 0.5) -> Trajectory:
     """Evaluate the closed-form modal solution on a time grid.
 
-    Per mode, the homogeneous part combines the two root exponentials
-    (or the damped sinusoid for complex pairs) and the source enters
-    through a convolution with ``g = u' + delta u`` (plus the same
-    combination of any forcing).  The source is evaluated once, on the
-    Gauss nodes of every cell; convolution values are carried across
-    grid cells by exact exponential/rotation updates, so cost is linear
-    in the number of samples and no accuracy is lost on long runs.
+    Per mode the pair (alpha, z) has the decay roots mu+ and mu-, and
+    every input column c e^{-r t} (of ``control`` plus ``forcing``,
+    both :class:`ForcingField`) enters alpha' only.  So alpha and z are
+    sums of exponentials, written root by root with the convolution
+    ``_conv``: from alpha(0) = y0 and empty memory z(0) = 0,
 
-    Initial velocity follows the natural coupling
-    ``alpha'(0) = u_n(0) + f_n(0) - lam alpha(0)``, i.e. memory starts
-    empty at t = 0.
+        alpha = y0 [(delta - mu-) e^{-mu- t} - (delta - mu+) e^{-mu+ t}]
+                / (mu+ - mu-) + sum_r c [(delta - mu-) E(mu-, r)
+                - (delta - mu+) E(mu+, r)] / (mu+ - mu-),
+        z = y0 E(mu+, mu-) + sum_r c [E(mu-, r) - E(mu+, r)] / (mu+ - mu-),
+
+    with E(a, b) = int_0^t e^{-a (t - tau)} e^{-b tau} dtau.  Nothing is
+    sampled or integrated numerically, so stiff modes and an input rate
+    equal to a root cost no accuracy.  Complex roots and rates are
+    carried as complex numbers and the real part is returned.
     """
     grid = _check_grid(t_grid)
     y0 = np.asarray(y0, dtype=float).reshape(-1)
     k = y0.size
     _check_inputs(k, control, forcing)
     lams, _ = spectrum.expanded(k)
-    real, mu_p, mu_m = _roots_split(lams, kernel)
+    mu_p, mu_m = (mu[:, None] for mu in _distinct_roots(lams, kernel))
     delta = kernel.delta
-    s = grid.size
+    gap = mu_p - mu_m
+    w_p, w_m = (delta - mu_p) / gap, (delta - mu_m) / gap
 
-    def g_of(ts):
-        out = control.derivative(ts) + delta * control.value(ts)
-        if forcing is not None:
-            out = out + forcing.derivative_at(ts) + delta * forcing.modal_at(ts)
-        return out
-
-    u0 = control.value(0.0)[:, 0]
-    f0 = forcing.modal_at(0.0)[:, 0] if forcing is not None else 0.0
-    a0p = u0 + f0 - lams * y0
-
-    # homogeneous part, evaluated directly on the whole grid
-    hom = np.zeros((k, s))
-    if real.any():
-        mp = mu_p[real].real
-        mm = mu_m[real].real
-        a0 = y0[real]
-        ap = a0p[real]
-        gap = (mp - mm)[:, None]
-        hom[real] = ((mp * a0 + ap)[:, None] * np.exp(-np.outer(mm, grid))
-                     - (mm * a0 + ap)[:, None] * np.exp(-np.outer(mp, grid))
-                     ) / gap
-    comp = ~real
-    if comp.any():
-        sig = mu_p[comp].real
-        om = mu_p[comp].imag
-        a0 = y0[comp]
-        ap = a0p[comp]
-        phase = np.outer(om, grid)
-        hom[comp] = np.exp(-np.outer(sig, grid)) * (
-            a0[:, None] * np.cos(phase)
-            + ((ap + sig * a0) / om)[:, None] * np.sin(phase))
-
-    # particular part: convolution states updated cell by cell
-    pts, wts = quadrature.cell_nodes(grid[:-1, None], grid[1:, None])
-    # one call on the nodes of every cell; a lone sample has no cell
-    g_all = (g_of(pts.reshape(-1)).reshape(k, s - 1, quadrature.NODES)
-             if s > 1 else None)
-    part = np.zeros((k, s))
-    i_p = np.zeros(int(real.sum()))
-    i_m = np.zeros(int(real.sum()))
-    j_c = np.zeros(int(comp.sum()))
-    j_s = np.zeros(int(comp.sum()))
-    mp = mu_p[real].real
-    mm = mu_m[real].real
-    sig = mu_p[comp].real
-    om = mu_p[comp].imag
-    for c in range(s - 1):
-        t1 = grid[c + 1]
-        h = t1 - grid[c]
-        g, tail, wc = g_all[:, c], t1 - pts[c], wts[c]
-        if i_p.size:
-            i_p = np.exp(-mp * h) * i_p + (np.exp(-np.outer(mp, tail))
-                                           * g[real]) @ wc
-            i_m = np.exp(-mm * h) * i_m + (np.exp(-np.outer(mm, tail))
-                                           * g[real]) @ wc
-            part[real, c + 1] = (i_m - i_p) / (mp - mm)
-        if j_c.size:
-            decay = np.exp(-np.outer(sig, tail))
-            ang = np.outer(om, tail)
-            loc_c = (decay * np.cos(ang) * g[comp]) @ wc
-            loc_s = (decay * np.sin(ang) * g[comp]) @ wc
-            ch, sh, dh = np.cos(om * h), np.sin(om * h), np.exp(-sig * h)
-            j_c, j_s = (dh * (ch * j_c - sh * j_s) + loc_c,
-                        dh * (sh * j_c + ch * j_s) + loc_s)
-            part[comp, c + 1] = j_s / om
-
-    alpha = (hom + part).T
-    alpha[0] = y0
-
-    # memory variables by the same exponential update on splined alpha
-    z = np.zeros((s, k))
-    if s > 1:
-        vals = CubicSpline(grid, alpha, axis=0)(pts)    # (cells, nodes, k)
-        fac = np.exp(-delta * (grid[1:, None] - pts)) * wts
-        for c in range(s - 1):
-            z[c + 1] = (math.exp(-delta * (grid[c + 1] - grid[c])) * z[c]
-                        + fac[c] @ vals[c])
-    controls = control.value(grid).T
-    return Trajectory(grid=grid, alpha=alpha, z=z, lambdas=lams,
-                      controls=controls,
+    t = grid[None, :]
+    alpha = y0[:, None] * (w_m * np.exp(-mu_m * t) - w_p * np.exp(-mu_p * t))
+    z = y0[:, None] * _conv(mu_p, mu_m, t)
+    # input terms on (modes, rates, samples)
+    coef, rates = _joint(control, forcing)
+    r = rates[None, :, None]
+    e_p, e_m = _conv(mu_p[..., None], r, t), _conv(mu_m[..., None], r, t)
+    alpha = alpha + np.einsum("kr,krs->ks", coef, w_m[..., None] * e_m
+                              - w_p[..., None] * e_p)
+    z = z + np.einsum("kr,krs->ks", coef, (e_m - e_p) / gap[..., None])
+    return Trajectory(grid=grid, alpha=alpha.real.T, z=z.real.T, lambdas=lams,
+                      controls=control.value(grid).T,
                       control_labels=tuple(f"u_{i+1}" for i in range(k)),
                       frac_alpha=frac_alpha)
 
@@ -399,32 +317,50 @@ def _width_classes(grid: np.ndarray):
     return labels, np.bincount(labels, widths) / np.bincount(labels)
 
 
+def _exosystem(coef: np.ndarray, rates: np.ndarray):
+    """Real form of the input states s' = -r s, s(0) = 1.
+
+    Returns the generator, the coupling of the states into alpha' and
+    their initial value.  A conjugate pair (r, conj r) becomes one
+    state pair (Re s, Im s) with a 2x2 rotation block; its two equal
+    coefficient columns both read Re s.
+    """
+    gen = np.diag(-rates.real)
+    couple, s0 = coef, np.ones(rates.size)
+    if np.iscomplexobj(rates):
+        first = np.flatnonzero(rates.imag)[::2]
+        gen[first, first + 1] = rates.imag[first]
+        gen[first + 1, first] = -rates.imag[first]
+        couple = coef.copy()
+        couple[:, first] += coef[:, first + 1]
+        couple[:, first + 1] = 0.0
+        s0[first + 1] = 0.0
+    return gen, couple, s0
+
+
 def simulate_ode(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
                  t_grid, *, forcing: ForcingField | None = None,
                  frac_alpha: float = 0.5) -> Trajectory:
     """Propagate the augmented modal system exactly by matrix exponentials.
 
-    The state is x = (alpha, z, aux) with ``alpha' = -lam alpha -
+    The state is x = (alpha, z, aux, s) with ``alpha' = -lam alpha -
     b lam z + u + f`` and ``z' = alpha - delta z``; ``aux`` is the
     controller's own state.  A linear feedback controller (an object
     exposing ``aux0``, ``input_matrix`` U and ``aux_matrix`` V) closes
     the loop as u = U x, aux' = V x, so the loop stays linear and time
-    invariant.  Any other control is an open-loop signal and only needs
-    ``value``.
+    invariant.  Any other control is an open-loop :class:`ForcingField`.
+    The open-loop control and the forcing are sums c e^{-r t}, so they
+    are generated inside the state: one exosystem state s' = -r s per
+    rate (a real 2x2 block per conjugate pair) feeds alpha' through the
+    coefficients, and no input is ever sampled.
 
     Each output cell of width h is crossed by the exact step map
-    e^{A h}, computed once per distinct width (widths that differ only
-    by rounding share one map); each run of consecutive cells of one
-    width is one scan (``quadrature.scan``) of its map, so a uniform
-    grid is a single scan.  Open-loop signals and forcing are
-    evaluated on the Gauss nodes of every cell in one call, and the
-    polynomial through those values is convolved with e^{A (h - tau)}
-    exactly: the same exponential that gives the step map carries a
-    chain of integrators driving the alpha inputs, so the convolution
-    stays exact however stiff the modes are.  That exponential has
-    order 2k + aux + 8k, against 2k + aux without inputs.  A state norm
-    above 1e6 (1 + |y0|) at an output sample means the loop itself
-    diverges and raises ``StepInstabilityError``.
+    e^{A h}, of order 2k + aux + R for R input rates, computed once per
+    distinct width (widths that differ only by rounding share one
+    map); each run of consecutive cells of one width is one scan
+    (``quadrature.scan``) of its map, so a uniform grid is a single
+    scan.  A state norm above 1e6 (1 + |y0|) at an output sample means
+    the loop itself diverges and raises ``StepInstabilityError``.
     """
     grid = _check_grid(t_grid)
     y0 = np.asarray(y0, dtype=float).reshape(-1)
@@ -435,54 +371,31 @@ def simulate_ode(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
     linear = hasattr(control, "aux_matrix")
     aux0 = (np.asarray(control.aux0, dtype=float).reshape(-1) if linear
             else np.zeros(0))
+    exo, couple, s0 = _exosystem(
+        *_joint(ZeroSignal(k) if linear else control, forcing))
     dim = 2 * k + aux0.size
-    a = np.zeros((dim, dim))
+    a = np.zeros((dim + s0.size, dim + s0.size))
     a[:k, :k] = -np.diag(lams)
     a[:k, k:2 * k] = -kernel.b * np.diag(lams)
     a[k:2 * k, :k] = np.eye(k)
     a[k:2 * k, k:2 * k] = -kernel.delta * np.eye(k)
-    signals = []
     if linear:
         u_mat = np.asarray(control.input_matrix, dtype=float)
-        a[:k] += u_mat
-        a[2 * k:] = control.aux_matrix
-    elif not isinstance(control, ZeroSignal):
-        signals.append(control.value)
-    if forcing is not None:
-        signals.append(forcing.modal_at)
+        a[:k, :dim] += u_mat
+        a[2 * k:dim, :dim] = control.aux_matrix
+    a[:k, dim:] = couple
+    a[dim:, dim:] = exo
 
     s = grid.size
-    x = np.empty((s, dim))
-    x[0] = np.concatenate([y0, np.zeros(k), aux0])
+    x = np.empty((s, a.shape[0]))
+    x[0] = np.concatenate([y0, np.zeros(k), aux0, s0])
     if s > 1:
         labels, widths = _width_classes(grid)
-        q = quadrature.NODES if signals else 0
-        gen = np.zeros((dim + q * k, dim + q * k))
-        if signals:
-            # in cell time s = (t - t0) / h the input is the node
-            # interpolant p = sum_i c_i s^i / i!; the integrator chain
-            # q_i' = q_{i+1} from q(0) = c feeds q_0 = p into alpha', so
-            # the exponential that holds e^{A h} also holds the exact
-            # convolution of every Taylor term
-            gen[:k, dim:dim + k] = np.eye(k)
-            gen[dim:-k, dim + k:] = np.eye((q - 1) * k)
-        maps = []
-        for h in widths:
-            gen[:dim, :dim] = a * h
-            maps.append(scipy.linalg.expm(gen)[:dim])
-        steps = [m[:, :dim] for m in maps]
-        drive = np.zeros((s - 1, dim))
-        if signals:
-            pts, _ = quadrature.cell_nodes(grid[:-1, None], grid[1:, None])
-            sig = sum(f(pts.reshape(-1)) for f in signals)
-            coef = np.einsum("ij,kcj->cik", quadrature.TAYLOR,
-                             sig.reshape(k, s - 1, q)).reshape(s - 1, q * k)
-            for cls, (h, m) in enumerate(zip(widths, maps)):
-                cells = labels == cls
-                drive[cells] = h * coef[cells] @ m[:, dim:].T
+        steps = [scipy.linalg.expm(a * h) for h in widths]
         # cells lo .. hi-1 of one width class form one scan from x[lo]
         bounds = np.r_[0, np.flatnonzero(np.diff(labels)) + 1, s - 1]
         guard = (1e6 * (1.0 + float(np.linalg.norm(y0)))) ** 2
+        drive = np.zeros((s - 1, a.shape[0]))
         # a diverging loop may overflow; the guard below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -495,7 +408,7 @@ def simulate_ode(spectrum: Spectrum, kernel: MemoryKernel, y0, control,
                 f"trajectory diverges: state norm above "
                 f"1e6 (1 + |y0|) at t={grid[np.argmax(bad) + 1]:.6g}")
 
-    controls = x @ u_mat.T if linear else control.value(grid).T
+    controls = x[:, :dim] @ u_mat.T if linear else control.value(grid).T
     return Trajectory(grid=grid, alpha=x[:, :k], z=x[:, k:2 * k],
                       lambdas=lams, controls=controls,
                       control_labels=tuple(f"u_{i+1}" for i in range(k)),
@@ -534,23 +447,15 @@ def translate_system(forcing: ForcingField, y_e,
     residual ``f(t) - f_e + g(t)`` where ``g`` compensates the memory
     integral of the constant part:
     ``g_n(t) = (b/(b+delta)) f_e,n e^{-delta t}``, which decays away.
-    Initial data shifts by -y_e.
+    As sums of exponentials: drop the rate-0 columns of f and add the
+    column (b/(b+delta)) f_e at rate delta.  Initial data shifts by -y_e.
     """
     y_e = np.asarray(y_e, dtype=float).reshape(-1)
-    b, delta = kernel.b, kernel.delta
-    kfac = b / (b + delta)
-    f_e = forcing.f_e
-
-    def modal(t):
-        g = kfac * f_e[:, None] * np.exp(-delta * t)[None, :]
-        return forcing.modal_at(t) - f_e[:, None] + g
-
-    def deriv(t):
-        g = kfac * f_e[:, None] * np.exp(-delta * t)[None, :]
-        return forcing.derivative_at(t) - delta * g
-
-    residual = ForcingField(modal=modal, f_e=np.zeros_like(f_e),
-                            modal_derivative=deriv)
+    kfac = kernel.b / (kernel.b + kernel.delta)
+    moving = forcing.rates != 0.0
+    residual = ForcingField(
+        np.column_stack([forcing.coefficients[:, moving], kfac * forcing.f_e]),
+        np.r_[forcing.rates[moving], kernel.delta])
     return TranslatedSystem(forcing=residual, y_e=y_e)
 
 
@@ -569,7 +474,7 @@ def control_shift(residual: ForcingField, c_rows, grid) -> tuple:
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     rows = np.asarray(c_rows, dtype=float)
-    f = residual.modal_at(grid)
+    f = residual.value(grid)
     if rows.shape[0] != f.shape[0]:
         raise DimensionMismatchError(
             f"actuator rows cover {rows.shape[0]} modes, forcing has "

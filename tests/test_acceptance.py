@@ -48,7 +48,7 @@ from pidestab.synthesis import (
 )
 
 from test_riccati import headline_solution, synthetic_system
-from test_simulate import ShiftSignal, smooth_control
+from test_simulate import shift_signal, smooth_control
 from test_synthesis import _steerability_instance
 
 OPEN_LOOP_RATE = (5.0 - math.sqrt(5.0)) / 2.0
@@ -285,8 +285,8 @@ def test_09_cross_method_simulation():
                 continue
             ode = simulate_ode(spectrum, kernel, y0, control, grid)
             scale = max(1.0, float(np.max(np.abs(exact.alpha))))
-            assert np.max(np.abs(exact.alpha - ode.alpha)) <= 1e-6 * scale
-            assert np.max(np.abs(exact.z - ode.z)) <= 1e-6 * scale
+            assert np.max(np.abs(exact.alpha - ode.alpha)) <= 1e-12 * scale
+            assert np.max(np.abs(exact.z - ode.z)) <= 1e-12 * scale
             done += 1
 
 
@@ -300,7 +300,7 @@ def test_10_forcing_translation():
         y_e = steady_state(forcing, spectrum, kernel)
         np.testing.assert_allclose(
             y_e, f_e / (lams * (1.0 + kernel.b / kernel.delta)), rtol=1e-12)
-        modal = ShiftSignal(forcing, spectrum, kernel, np.eye(2))
+        modal = shift_signal(forcing, spectrum, kernel)
         gamma_nominal = 1.0
         grid = np.linspace(0.0, 20.0 / gamma_nominal, 801)
         traj = simulate_ode(spectrum, kernel, [0.0, 0.0], modal, grid,

@@ -8,6 +8,8 @@ scripting contract: 0 ok, 2 config, 3 steerability, 4 solver,
 
 import json
 import math
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -462,9 +464,8 @@ def test_forced_closed_loop_is_the_control_shift_loop(tmp_path):
     forcing = np.r_[f_e, np.zeros(n - 1)]
     # the forced system driven by the forcing plus the shift, which is
     # the forcing less its translated residual
-    net = simulate.ForcingField(
-        modal=lambda t: forcing[:, None] * (1.0 - kfac * np.exp(-delta * t)),
-        f_e=forcing)
+    net = simulate.ForcingField(np.column_stack([forcing, -kfac * forcing]),
+                                [0.0, delta])
     grid = table[:, 0]
     ref = simulate.simulate_ode(ctx.spectrum, ctx.kernel,
                                 cli._initial_state(ctx),
@@ -559,6 +560,18 @@ def test_fluid_and_scenario_forcing_conflict(tmp_path, capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
+def test_growing_forcing_is_refused(tmp_path, capsys):
+    # e^{+t} forcing has no limit, so y_e = 0 would be false; it used to
+    # run and report a fitted rate near -1
+    out = tmp_path / "out"
+    cfg = headline_config(
+        tmp_path, out,
+        forcing={"kind": "exponential", "coefficients": [1.0], "rate": -1.0})
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism, round trips and overrides
 
@@ -627,3 +640,12 @@ def test_horizon_and_step_overrides(tmp_path):
     run = read_json(out / "run.json")
     assert run["t_max"] == pytest.approx(2.0)
     assert run["samples"] == 21
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # no input is sampled, so nothing in the program needs a spline
+    probe = ("import sys, pidestab.cli; "
+             "print('scipy.interpolate' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "False"

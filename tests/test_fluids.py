@@ -89,7 +89,7 @@ def test_jeffreys_kernel_and_forcing():
     assert kernel.delta == pytest.approx(3.0, rel=1e-15)
     ts = np.array([0.0, 0.3, 1.0])
     np.testing.assert_allclose(
-        forcing.modal_at(ts),
+        forcing.value(ts),
         np.array([1.0, -2.0])[:, None] * np.exp(-3.0 * ts)[None, :],
         rtol=1e-15)
     np.testing.assert_array_equal(forcing.f_e, [0.0, 0.0])
@@ -99,7 +99,7 @@ def test_jeffreys_zero_stress_is_homogeneous():
     kernel, forcing = jeffreys_reduce(
         JeffreysParams(mu_visc=1.0, kappa=1.0, lambda_relax=2.0,
                        tau0=np.zeros(2)))
-    assert np.max(np.abs(forcing.modal_at([0.0, 1.0]))) == 0.0
+    assert np.max(np.abs(forcing.value([0.0, 1.0]))) == 0.0
     spectrum = Spectrum.from_values([1.0, 2.0])
     np.testing.assert_array_equal(steady_state(forcing, spectrum, kernel),
                                   [0.0, 0.0])

@@ -1,7 +1,7 @@
 """Trajectory routes, forcing translation and decay fitting.
 
 The two simulation routes share only the kernel/spectrum types and the
-Gauss nodes of each cell, so their agreement doubles as an oracle;
+exponential-sum input type, so their agreement doubles as an oracle;
 closed-form single-mode solutions pin each route on its own.  Norm
 weights and fits are checked on synthetic trajectories built directly
 from analytic samples.
@@ -15,6 +15,7 @@ import pytest
 import scipy.linalg
 
 from pidestab import (
+    ConfigError,
     DegenerateRootError,
     DimensionMismatchError,
     ForcingField,
@@ -32,11 +33,8 @@ from pidestab import (
     translate_system,
 )
 from pidestab.exceptions import ForcingRangeError
-from pidestab.simulate import (
-    CallableModalSignal,
-    ConstantModalSignal,
-    _width_classes,
-)
+from pidestab.simulate import _width_classes
+from pidestab.spectral import modal_roots
 
 
 def grid_to(t_max, n=401):
@@ -76,30 +74,39 @@ def test_exact_constant_control_equilibrium():
     c = 0.8
     grid = grid_to(20.0, 801)
     traj = simulate_exact(spectrum, kernel, [0.0],
-                          ConstantModalSignal([c]), grid)
+                          ForcingField.constant([c]), grid)
     target = c * 1.0 / (1.0 * (1.0 + 1.0))
     assert traj.alpha[-1, 0] == pytest.approx(target, rel=1e-8)
-    ode = simulate_ode(spectrum, kernel, [0.0], ConstantModalSignal([c]),
+    ode = simulate_ode(spectrum, kernel, [0.0], ForcingField.constant([c]),
                        grid)
     assert ode.alpha[-1, 0] == pytest.approx(target, rel=1e-8)
 
 
-def test_ode_stiff_mode_input_equilibrium():
-    # lam h = 200: the kernel e^{A (h - tau)} has decayed long before the
-    # last Gauss node of a cell, and its fast part carries twice the
-    # equilibrium, so a quadrature of the convolution misses it
+def stiff_equilibrium(route):
+    # lam h = 200 on the 0.05 grid: the kernel e^{A (h - tau)} has
+    # decayed long before the last Gauss node of a cell, and its fast
+    # part carries twice the equilibrium, so any quadrature of the
+    # convolution misses it
     lam = 4000.0
     spectrum = Spectrum.from_values([lam])
     kernel = MemoryKernel(b=1.0, delta=1.0)
     c = 0.8
     grid = grid_to(20.0, 401)
     target = c * 1.0 / (lam * (1.0 + 1.0))
-    signal = simulate_ode(spectrum, kernel, [0.0], ConstantModalSignal([c]),
-                          grid)
-    assert signal.alpha[-1, 0] == pytest.approx(target, rel=1e-8)
-    forced = simulate_ode(spectrum, kernel, [0.0], ZeroSignal(1), grid,
-                          forcing=ForcingField.constant([c]))
-    assert forced.alpha[-1, 0] == pytest.approx(target, rel=1e-8)
+    signal = route(spectrum, kernel, [0.0], ForcingField.constant([c]), grid)
+    assert signal.alpha[-1, 0] == pytest.approx(target, rel=1e-10)
+    forced = route(spectrum, kernel, [0.0], ZeroSignal(1), grid,
+                   forcing=ForcingField.constant([c]))
+    assert forced.alpha[-1, 0] == pytest.approx(target, rel=1e-10)
+
+
+def test_ode_stiff_mode_input_equilibrium():
+    stiff_equilibrium(simulate_ode)
+
+
+def test_exact_stiff_mode_input_equilibrium():
+    # the exact route's 8-node cell rule was 4e-4 off here
+    stiff_equilibrium(simulate_exact)
 
 
 def test_exact_memory_variable_definition():
@@ -127,29 +134,23 @@ def test_exact_rejects_double_roots():
     assert np.all(np.isfinite(traj.alpha))
 
 
-def test_exact_evaluates_the_source_once():
-    # the source is evaluated on the nodes of every cell in one call, so
-    # the number of signal calls does not grow with the number of samples
-    class CountingSignal:
-        def __init__(self):
-            self.calls = 0
-
-        def value(self, t):
-            self.calls += 1
-            return np.cos(np.atleast_1d(np.asarray(t, dtype=float)))[None]
-
-        def derivative(self, t):
-            self.calls += 1
-            return -np.sin(np.atleast_1d(np.asarray(t, dtype=float)))[None]
-
-    calls = []
-    for n in (11, 101, 1001):
-        signal = CountingSignal()
-        simulate_exact(Spectrum.from_values([2.0]),
-                       MemoryKernel(b=1.0, delta=1.5), [1.0], signal,
-                       grid_to(1.0, n))
-        calls.append(signal.calls)
-    assert calls[0] == calls[1] == calls[2]
+@pytest.mark.parametrize("route", [simulate_exact, simulate_ode])
+def test_memory_state_keeps_the_fast_transient(route):
+    # mode 100 (lam = 6000) moves z within the first cell; a spline of
+    # the sampled alpha lost it (9% of max |z|).  Closed form of
+    # z' = alpha - delta z, z(0) = 0, from alpha(0) = 1, alpha'(0) = -lam:
+    # z = (e^{-mu- t} - e^{-mu+ t}) / (mu+ - mu-)
+    n = 100
+    lams = 0.6 * np.arange(1, n + 1) ** 2
+    spectrum = Spectrum.from_values(lams.tolist())
+    kernel = MemoryKernel(b=1.0, delta=4.0)
+    grid = grid_to(10.0, 201)
+    roots = modal_roots(lams, kernel)
+    mu_p, mu_m = roots.mu_plus[None, :], roots.mu_minus[None, :]
+    t = grid[:, None]
+    z = ((np.exp(-mu_m * t) - np.exp(-mu_p * t)) / (mu_p - mu_m)).real
+    traj = route(spectrum, kernel, np.ones(n), ZeroSignal(n), grid)
+    assert np.max(np.abs(traj.z - z)) <= 1e-10 * np.max(np.abs(z))
 
 
 def test_grid_validation():
@@ -218,19 +219,16 @@ def test_ode_step_instability_detected():
 
 
 def smooth_control(k, rng):
+    """a_n e^{-r_n t} cos(w_n t) on mode n: one conjugate pair per mode,
+    a_n / 2 (e^{-(r_n + i w_n) t} + e^{-(r_n - i w_n) t})."""
     amps = rng.normal(size=k)
     rates = rng.uniform(0.2, 1.0, size=k)
     freqs = rng.uniform(0.5, 3.0, size=k)
-
-    def fn(t):
-        return amps * np.exp(-rates * t) * np.cos(freqs * t)
-
-    def dfn(t):
-        e = np.exp(-rates * t)
-        return amps * e * (-rates * np.cos(freqs * t)
-                           - freqs * np.sin(freqs * t))
-
-    return CallableModalSignal(fn=fn, k=k, derivative_fn=dfn)
+    n = np.arange(k)
+    coef = np.zeros((k, 2 * k))
+    coef[n, 2 * n] = coef[n, 2 * n + 1] = 0.5 * amps
+    pairs = np.stack([rates + 1j * freqs, rates - 1j * freqs], axis=1)
+    return ForcingField(coef, pairs.reshape(-1))
 
 
 def test_cross_method_open_loop_sweep():
@@ -249,8 +247,8 @@ def test_cross_method_open_loop_sweep():
         exact = simulate_exact(spectrum, kernel, y0, control, grid)
         ode = simulate_ode(spectrum, kernel, y0, control, grid)
         scale = max(1.0, float(np.max(np.abs(exact.alpha))))
-        assert np.max(np.abs(exact.alpha - ode.alpha)) <= 1e-6 * scale
-        assert np.max(np.abs(exact.z - ode.z)) <= 1e-6 * scale
+        assert np.max(np.abs(exact.alpha - ode.alpha)) <= 1e-12 * scale
+        assert np.max(np.abs(exact.z - ode.z)) <= 1e-12 * scale
 
 
 def test_cross_method_nonuniform_grid():
@@ -264,7 +262,8 @@ def test_cross_method_nonuniform_grid():
     control = smooth_control(2, np.random.default_rng(7))
     exact = simulate_exact(spectrum, kernel, [1.0, -0.4], control, grid)
     ode = simulate_ode(spectrum, kernel, [1.0, -0.4], control, grid)
-    assert np.max(np.abs(exact.alpha - ode.alpha)) <= 1e-8
+    assert np.max(np.abs(exact.alpha - ode.alpha)) <= 1e-12
+    assert np.max(np.abs(exact.z - ode.z)) <= 1e-12
 
 
 def test_long_uniform_grids_share_one_step_map():
@@ -291,7 +290,8 @@ def test_cross_method_with_forcing():
                            grid, forcing=forcing)
     ode = simulate_ode(spectrum, kernel, [0.2, 0.1], ZeroSignal(2), grid,
                        forcing=forcing)
-    assert np.max(np.abs(exact.alpha - ode.alpha)) <= 1e-6
+    assert np.max(np.abs(exact.alpha - ode.alpha)) <= 1e-12
+    assert np.max(np.abs(exact.z - ode.z)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +352,20 @@ def test_translate_constant_forcing_residual():
     y_e = steady_state(forcing, spectrum, kernel)
     translated = translate_system(forcing, y_e, kernel)
     ts = np.array([0.0, 0.5, 2.0, 10.0])
-    residual = translated.forcing.modal_at(ts)
+    residual = translated.forcing.value(ts)
     lams = np.array([1.0, 2.0])
     expected = (kernel.b / kernel.delta) * (lams * y_e)[:, None] \
         * np.exp(-kernel.delta * ts)[None, :]
     np.testing.assert_allclose(residual, expected, rtol=1e-12)
-    assert np.max(np.abs(translated.forcing.modal_at(30.0))) < 1e-12
+    assert np.max(np.abs(translated.forcing.value(30.0))) < 1e-12
 
 
-class ShiftSignal:
-    """The array control shift as a signal: ``control_shift`` evaluated
-    on whatever times a route asks for."""
-
-    def __init__(self, forcing, spectrum, kernel, rows):
-        y_e = steady_state(forcing, spectrum, kernel)
-        self.residual = translate_system(forcing, y_e, kernel).forcing
-        self.rows = np.asarray(rows, dtype=float)
-
-    def value(self, t):
-        return control_shift(self.residual, self.rows, np.atleast_1d(t))[0].T
-
-    def derivative(self, t):
-        return -self.residual.derivative_at(t)
+def shift_signal(forcing, spectrum, kernel):
+    """The control shift as an open-loop input: minus the residual that
+    ``translate_system`` leaves, the samples ``control_shift`` returns."""
+    y_e = steady_state(forcing, spectrum, kernel)
+    residual = translate_system(forcing, y_e, kernel).forcing
+    return ForcingField(-residual.coefficients, residual.rates)
 
 
 def test_control_shift_refuses_unreachable_forcing():
@@ -390,10 +382,12 @@ def test_control_shift_refuses_unreachable_forcing():
     shift, worst = control_shift(residual([1.5, 0.0]), e1, grid)
     assert worst <= 1e-15
     np.testing.assert_array_equal(shift[:, 1], 0.0)
-    # in range at t = 0 only: the error names the worst sample, the last
-    leaving = ForcingField(
-        modal=lambda t: np.vstack([np.ones_like(t), t]), f_e=[1.0, 0.0])
-    with pytest.raises(ForcingRangeError, match=r"t=2 .*residual 8\.9"):
+    # in range at t = 0 only, and the off-range part e^{-t} - e^{-2t}
+    # outlives the in-range e^{-3t}: the error names the worst sample,
+    # the last
+    leaving = ForcingField([[1.0, 0.0, 0.0], [0.0, 0.5, -0.5]],
+                           [3.0, 1.0, 2.0])
+    with pytest.raises(ForcingRangeError, match=r"t=2 .*residual 9\.99"):
         control_shift(leaving, e1, grid)
     with pytest.raises(DimensionMismatchError):
         control_shift(residual([1.5, 0.0]), np.ones((3, 1)), grid)
@@ -413,13 +407,16 @@ def test_shift_control_constant_forcing_closed_form():
     # the transient that cancels the memory mismatch of the constant part
     spectrum = Spectrum.from_values([1.0])
     kernel = MemoryKernel(b=1.0, delta=1.0)
-    signal = ShiftSignal(ForcingField.constant([2.0]), spectrum, kernel,
-                         [[1.0]])
+    forcing = ForcingField.constant([2.0])
+    signal = shift_signal(forcing, spectrum, kernel)
     ts = np.array([0.0, 0.4, 1.3, 5.0])
     expected = -0.5 * np.exp(-ts) * 2.0
     np.testing.assert_allclose(signal.value(ts)[0], expected, rtol=1e-12)
     np.testing.assert_allclose(signal.derivative(ts)[0], -expected,
                                rtol=1e-12)
+    residual = translate_system(forcing, [1.0], kernel).forcing
+    shift, _ = control_shift(residual, [[1.0]], ts)
+    np.testing.assert_array_equal(shift[:, 0], signal.value(ts)[0])
 
 
 def test_forced_fixed_point_is_stationary():
@@ -428,7 +425,7 @@ def test_forced_fixed_point_is_stationary():
     kernel = MemoryKernel(b=1.0, delta=1.0)
     forcing = ForcingField.constant([2.0, 1.0])
     y_e = steady_state(forcing, spectrum, kernel)
-    shift = ShiftSignal(forcing, spectrum, kernel, np.eye(2))
+    shift = shift_signal(forcing, spectrum, kernel)
     grid = grid_to(8.0, 321)
     ode = simulate_ode(spectrum, kernel, y_e, shift, grid, forcing=forcing)
     assert np.max(np.abs(ode.alpha - y_e[None, :])) <= 1e-8
@@ -442,7 +439,7 @@ def test_forced_run_converges_to_steady_state():
     kernel = MemoryKernel(b=1.0, delta=1.0)
     forcing = ForcingField.constant([2.0, 1.0])
     y_e = steady_state(forcing, spectrum, kernel)
-    shift = ShiftSignal(forcing, spectrum, kernel, np.eye(2))
+    shift = shift_signal(forcing, spectrum, kernel)
     grid = grid_to(12.0, 481)
     traj = simulate_ode(spectrum, kernel, [0.0, 0.0], shift, grid,
                         forcing=forcing)
@@ -458,8 +455,55 @@ def test_inputs_must_cover_the_state_modes(route):
         route(spectrum, kernel, np.ones(3), ZeroSignal(3), grid,
               forcing=ForcingField.constant([1.0]))
     with pytest.raises(DimensionMismatchError, match="control covers 2"):
-        route(spectrum, kernel, np.ones(3), ConstantModalSignal([1.0, 2.0]),
+        route(spectrum, kernel, np.ones(3), ForcingField.constant([1.0, 2.0]),
               grid)
+
+
+def test_input_rates_must_decay_and_pair():
+    with pytest.raises(ConfigError, match="growing input"):
+        ForcingField.exponential([1.0], rate=-1.0)
+    with pytest.raises(ConfigError, match="conjugate pairs"):
+        ForcingField([[1.0]], [0.5 + 1.0j])
+    with pytest.raises(ConfigError, match="conjugate pairs"):
+        ForcingField([[1.0, 2.0]], [0.5 + 1.0j, 0.5 - 1.0j])
+    with pytest.raises(DimensionMismatchError):
+        ForcingField([[1.0, 2.0]], [0.5])
+    pair = ForcingField([[1.0, 1.0], [0.5, 0.5]], [0.5 + 1.0j, 0.5 - 1.0j])
+    ts = np.array([0.0, 0.7, 2.0])
+    np.testing.assert_allclose(
+        pair.value(ts),
+        np.array([[1.0], [0.5]]) * 2.0 * np.exp(-0.5 * ts) * np.cos(ts),
+        rtol=1e-14)
+    np.testing.assert_array_equal(pair.f_e, [0.0, 0.0])
+    np.testing.assert_array_equal(
+        ForcingField([[1.0, 2.0, 3.0]], [0.0, 1.0, 0.0]).f_e, [4.0])
+
+
+def resonant_runs(rates):
+    # lam = 0.6 and 3.0 with b = 1, delta = 4: real roots on mode 1
+    spectrum = Spectrum.from_values([0.6, 3.0])
+    kernel = MemoryKernel(b=1.0, delta=4.0)
+    grid = grid_to(6.0, 241)
+    control = ForcingField([[0.7, -0.4], [0.3, 0.9]], rates)
+    y0 = [0.2, -0.1]
+    exact = simulate_exact(spectrum, kernel, y0, control, grid)
+    ode = simulate_ode(spectrum, kernel, y0, control, grid)
+    return exact, ode
+
+
+@pytest.mark.parametrize("which", ["delta", "slow_root", "fast_root"])
+def test_exact_route_at_resonance(which):
+    # an input rate equal to delta meets z' = alpha - delta z, as every
+    # translated constant forcing and Jeffreys stress does; one equal to
+    # a modal root meets alpha itself.  Neither is refused.
+    roots = modal_roots(0.6, MemoryKernel(b=1.0, delta=4.0))
+    assert roots.is_real
+    rate = {"delta": 4.0, "slow_root": roots.mu_minus.real,
+            "fast_root": roots.mu_plus.real}[which]
+    exact, ode = resonant_runs([rate, 1.3])
+    for a, b in ((exact.alpha, ode.alpha), (exact.z, ode.z)):
+        assert np.all(np.isfinite(a))
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
 
 # ---------------------------------------------------------------------------
